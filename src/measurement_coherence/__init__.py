@@ -60,7 +60,6 @@ from .qubit import (
     make_state,
     observable_x,
     observable_y,
-    psd_sqrt,
     trace_norm_distance,
     variance,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "outcome_distribution",
     "post_measurement_state",
     "prepare_signal",
-    "psd_sqrt",
     "run_setting",
     "sample_counts",
     "sequential_joint",

@@ -21,7 +21,6 @@ from .qubit import (
     Observable,
     QState,
     _check_same_dim,
-    psd_sqrt,
 )
 
 PROBABILITY_FLOOR = 1e-14
@@ -101,7 +100,7 @@ def post_measurement_state(state: QState, effect: Effect) -> tuple[QState, float
     Applies the square-root update sqrt(E) rho sqrt(E) / P.
     """
     _check_same_dim(state, effect)
-    root = psd_sqrt(effect)
+    root = effect.sqrt
     unnormalized = root @ state.matrix @ root
     prob = float(np.trace(unnormalized).real)
     if prob <= PROBABILITY_FLOOR:
@@ -121,7 +120,7 @@ def luders_channel(state: QState, obs: Observable) -> QState:
     _check_same_dim(state, obs)
     out = np.zeros_like(state.matrix)
     for eff in obs.effects:
-        root = psd_sqrt(eff)
+        root = eff.sqrt
         out += root @ state.matrix @ root
     return QState(out)
 
@@ -145,7 +144,7 @@ def sequential_joint(
     _check_same_dim(state, second)
     table = np.zeros((len(first.outcomes), len(second.outcomes)))
     for i, eff_x in enumerate(first.effects):
-        root = psd_sqrt(eff_x)
+        root = eff_x.sqrt
         branch = root @ state.matrix @ root  # unnormalized conditional state
         for j, eff_y in enumerate(second.effects):
             table[i, j] = np.trace(branch @ eff_y.matrix).real

@@ -21,7 +21,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -123,32 +123,6 @@ def _child_seed(master: int, index: int, branch: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _sampled_point(
-    spec: SweepSpec, index: int, prep: PrepConfig, theta_rad: float
-) -> tuple[float, float]:
-    """Monte Carlo estimate (value, std error) for one grid point."""
-    records = []
-    for branch, mode in enumerate((UNPERTURBED, PERTURBED)):
-        dist = run_setting(prep, spec.gate, theta_rad, mode)
-        records.append(
-            sample_counts(
-                dist,
-                spec.flux,
-                _child_seed(spec.seed, index, branch),
-                theta=theta_rad,
-                mode=mode,
-            )
-        )
-    return estimate_delta_v(records[0], records[1])
-
-
-def _exact_gate_delta_v(prep: PrepConfig, gate: GateParams, theta_rad: float) -> float:
-    """Noise-free violation predicted by the gate model itself."""
-    v_direct = run_setting(prep, gate, theta_rad, UNPERTURBED).variance()
-    v_dephased = run_setting(prep, gate, theta_rad, PERTURBED).variance()
-    return v_dephased - v_direct
-
-
 def _make_record(
     spec: SweepSpec,
     index: int,
@@ -160,11 +134,19 @@ def _make_record(
     theta_rad = math.radians(theta_deg)
     prep = _prep_for(p, gamma)
     report = delta_v(make_state(p, gamma), observable_x(), observable_y(theta_rad))
-    if gate_model_analytic:
-        analytic = _exact_gate_delta_v(prep, spec.gate, theta_rad)
+    modes = (UNPERTURBED, PERTURBED)
+    dists = [run_setting(prep, spec.gate, theta_rad, mode) for mode in modes]
+    if gate_model_analytic:  # the gate model's own noise-free prediction
+        analytic = dists[1].variance() - dists[0].variance()
     else:
         analytic = report.delta_v
-    sampled, std_err = _sampled_point(spec, index, prep, theta_rad)
+    counts = [
+        sample_counts(
+            dist, spec.flux, _child_seed(spec.seed, index, branch), theta=theta_rad, mode=mode
+        )
+        for branch, (mode, dist) in enumerate(zip(modes, dists))
+    ]
+    sampled, std_err = estimate_delta_v(*counts)
     z = sampled / std_err if std_err > 0.0 else 0.0
     return SweepRecord(
         axis1=axis_value,
@@ -208,19 +190,9 @@ def _write_records(spec: SweepSpec, records: list[SweepRecord]) -> None:
             handle.write(text)
 
 
-def cmd_sweep_pure(spec: SweepSpec) -> list[SweepRecord]:
-    """Violation surface over (p, theta) for pure-state preparations."""
-    if spec.axis1 != "p":
-        raise ValueError("sweep-pure sweeps the population axis (axis1 = p)")
-    records = _grid_records(spec)
-    _write_records(spec, records)
-    return records
-
-
-def cmd_sweep_mixed(spec: SweepSpec) -> list[SweepRecord]:
-    """Violation surface over (gamma, theta) at a fixed wave-plate angle."""
-    if spec.axis1 != "gamma":
-        raise ValueError("sweep-mixed sweeps the coherence axis (axis1 = gamma)")
+def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:
+    """Violation surface over (axis1, theta): p at fixed gamma, or gamma at a
+    fixed wave-plate angle."""
     records = _grid_records(spec)
     _write_records(spec, records)
     return records
@@ -233,7 +205,7 @@ def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
     violation column equals the squared trace distance column here.
     """
     if spec.axis1 == "gamma":
-        spec = _replace_spec(spec, alpha_deg=45.0 / 2.0)  # p = 1/2
+        spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 1/2
     axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
     records = [
         _make_record(spec, index, float(axis_value), 90.0, gate_model_analytic=False)
@@ -251,17 +223,11 @@ def cmd_simulate(spec: SweepSpec) -> list[SweepRecord]:
     return records
 
 
-def _replace_spec(spec: SweepSpec, **changes) -> SweepSpec:
-    values = {name: getattr(spec, name) for name in spec.__dataclass_fields__}
-    values.update(changes)
-    return SweepSpec(**values)
-
-
 def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams) -> None:
     parser.add_argument("--axis1", choices=("p", "gamma"), default=None,
                         help="swept state parameter")
-    parser.add_argument("--a1-min", type=float, default=None, help="axis1 lower bound")
-    parser.add_argument("--a1-max", type=float, default=None, help="axis1 upper bound")
+    parser.add_argument("--a1-min", type=float, default=0.0, help="axis1 lower bound")
+    parser.add_argument("--a1-max", type=float, default=1.0, help="axis1 upper bound")
     parser.add_argument("--a1-steps", type=int, default=50, help="axis1 grid points")
     parser.add_argument("--theta-min", type=float, default=0.0,
                         help="analysis angle lower bound (degrees)")
@@ -271,8 +237,9 @@ def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams)
                         help="analysis angle grid points")
     parser.add_argument("--gamma", type=float, default=1.0,
                         help="fixed coherence when sweeping p")
-    parser.add_argument("--alpha", type=float, default=12.0,
-                        help="fixed preparation wave-plate angle (degrees) when sweeping gamma")
+    parser.add_argument("--alpha", type=float, default=None,
+                        help="fixed preparation wave-plate angle (degrees, default 12) "
+                        "when sweeping gamma")
     parser.add_argument("--th", type=float, default=gate_default.t_h,
                         help="gate intensity transmittivity for H")
     parser.add_argument("--tv", type=float, default=gate_default.t_v,
@@ -287,11 +254,12 @@ def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams)
                         dest="fmt", help="output format")
 
 
+# name: (function, accepted axis1 values with the default first, default gate)
 _COMMANDS = {
-    "sweep-pure": (cmd_sweep_pure, "p", GateParams()),
-    "sweep-mixed": (cmd_sweep_mixed, "gamma", GateParams()),
-    "max-violation": (cmd_max_violation, "p", GateParams()),
-    "simulate": (cmd_simulate, "p", MEASURED_GATE),
+    "sweep-pure": (cmd_sweep, ("p",), GateParams()),
+    "sweep-mixed": (cmd_sweep, ("gamma",), GateParams()),
+    "max-violation": (cmd_max_violation, ("p", "gamma"), GateParams()),
+    "simulate": (cmd_simulate, ("p", "gamma"), MEASURED_GATE),
 }
 
 
@@ -301,28 +269,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grid sweeps of the variance-law violation for qubit measurements.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_func, _default_axis, gate_default) in _COMMANDS.items():
+    for name, (_func, _axes, gate_default) in _COMMANDS.items():
         sub = subparsers.add_parser(name)
         _add_common_flags(sub, gate_default)
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace, default_axis: str) -> SweepSpec:
-    axis1 = args.axis1 or default_axis
-    if args.a1_min is None or args.a1_max is None:
-        a1_min, a1_max = (0.0, 1.0)
-    else:
-        a1_min, a1_max = args.a1_min, args.a1_max
+def _spec_from_args(args: argparse.Namespace, axes: tuple[str, ...]) -> SweepSpec:
+    axis1 = args.axis1 or axes[0]
+    if axis1 not in axes:
+        raise ValueError(f"{args.command} sweeps axis1 = {' or '.join(axes)}")
+    if args.command == "max-violation" and axis1 == "gamma" and args.alpha is not None:
+        raise ValueError("max-violation --axis1 gamma fixes p = 1/2; drop --alpha")
     return SweepSpec(
         axis1=axis1,
-        a1_min=a1_min,
-        a1_max=a1_max,
+        a1_min=args.a1_min,
+        a1_max=args.a1_max,
         a1_steps=args.a1_steps,
         theta_min_deg=args.theta_min,
         theta_max_deg=args.theta_max,
         theta_steps=args.theta_steps,
         gamma=args.gamma,
-        alpha_deg=args.alpha,
+        alpha_deg=12.0 if args.alpha is None else args.alpha,
         gate=GateParams(t_h=args.th, t_v=args.tv, visibility=args.visibility),
         flux=args.flux,
         seed=args.seed,
@@ -334,13 +302,14 @@ def _spec_from_args(args: argparse.Namespace, default_axis: str) -> SweepSpec:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    func, default_axis, _gate = _COMMANDS[args.command]
+    func, axes, _gate = _COMMANDS[args.command]
     try:
-        spec = _spec_from_args(args, default_axis)
-        func(spec)
+        spec = _spec_from_args(args, axes)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    try:
+        func(spec)
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

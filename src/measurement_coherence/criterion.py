@@ -35,6 +35,7 @@ from .channels import (
 from .qubit import (
     Observable,
     QState,
+    _check_family_params,
     _check_same_dim,
     trace_norm_distance,
     variance,
@@ -59,14 +60,21 @@ class CriterionReport:
             raise ValueError("delta_v is not the difference of the variances")
 
 
+def _direct_and_dephased(
+    state: QState, first: Observable, second: Observable
+) -> tuple[OutcomeDistribution, OutcomeDistribution]:
+    """P(y) measured directly and P'(y) after measuring first unread."""
+    _check_same_dim(state, first)
+    _check_same_dim(state, second)
+    direct = outcome_distribution(state, second)
+    return direct, outcome_distribution(luders_channel(state, first), second)
+
+
 def total_probability_residual(
     state: QState, first: Observable, second: Observable
 ) -> float:
     """Largest violation max_y |P(y) - P'(y)| of the total-probability law."""
-    _check_same_dim(state, first)
-    _check_same_dim(state, second)
-    direct = outcome_distribution(state, second)
-    perturbed = outcome_distribution(luders_channel(state, first), second)
+    direct, perturbed = _direct_and_dephased(state, first, second)
     return float(np.max(np.abs(direct.probabilities - perturbed.probabilities)))
 
 
@@ -99,16 +107,9 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     )
 
 
-def _check_qubit_family_params(p: float, gamma: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"population p={p} outside [0, 1]")
-    if not -1.0 <= gamma <= 1.0:
-        raise ValueError(f"coherence gamma={gamma} outside [-1, 1]")
-
-
 def analytic_variance_unperturbed(p: float, gamma: float, theta: float) -> float:
     """Closed-form variance of y(theta) on the qubit state (p, gamma)."""
-    _check_qubit_family_params(p, gamma)
+    _check_family_params(p, gamma)
     mean = (2.0 * p - 1.0) * math.cos(theta) + 2.0 * math.sqrt(
         p * (1.0 - p)
     ) * gamma * math.sin(theta)
@@ -117,7 +118,7 @@ def analytic_variance_unperturbed(p: float, gamma: float, theta: float) -> float
 
 def analytic_variance_perturbed(p: float, theta: float) -> float:
     """Closed-form variance of y(theta) after dephasing in the H/V basis."""
-    _check_qubit_family_params(p, 0.0)
+    _check_family_params(p, 0.0)
     cos = math.cos(theta)
     return 1.0 - (1.0 - 2.0 * p) ** 2 * cos * cos
 
@@ -171,8 +172,7 @@ def moment_difference(
     """k-th central moment of P'(y) minus that of P(y); k=2 is delta_v."""
     if k < 2:
         raise ValueError(f"moment order k={k} must be at least 2")
-    direct = outcome_distribution(state, second)
-    perturbed = outcome_distribution(luders_channel(state, first), second)
+    direct, perturbed = _direct_and_dephased(state, first, second)
     return _central_moment(perturbed, k) - _central_moment(direct, k)
 
 
@@ -183,6 +183,5 @@ def _shannon_entropy(dist: OutcomeDistribution) -> float:
 
 def entropy_difference(state: QState, first: Observable, second: Observable) -> float:
     """Shannon entropy (natural log) of P'(y) minus that of P(y)."""
-    direct = outcome_distribution(state, second)
-    perturbed = outcome_distribution(luders_channel(state, first), second)
+    direct, perturbed = _direct_and_dephased(state, first, second)
     return _shannon_entropy(perturbed) - _shannon_entropy(direct)

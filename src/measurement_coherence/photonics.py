@@ -200,12 +200,29 @@ def gate_channel(joint_in: QState, params: GateParams) -> tuple[QState, float]:
     return QState(out / success), success
 
 
-_METER_H = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
-_METER_PLUS = np.full((2, 2), 0.5, dtype=np.complex128)
+# Meter diagonals of the two injections; the gate is diagonal and the
+# meter is discarded right after it, so its coherences never matter.
+_METER_WEIGHTS = {UNPERTURBED: (1.0, 0.0), PERTURBED: (0.5, 0.5)}
 
 
-def _trace_out_meter(joint: np.ndarray) -> np.ndarray:
-    return np.einsum("smtm->st", joint.reshape(2, 2, 2, 2))
+def _signal_multiplier(params: GateParams, meter_weights: tuple[float, float]) -> np.ndarray:
+    """2x2 matrix K with tr_meter(gate(rho (x) meter)) = K o rho (entrywise).
+
+    K = sum_m w_m (v a_m a_m^T + (1 - v)(t_m t_m^T + r_m r_m^T)), where
+    a_m, t_m and r_m are the branch amplitudes at meter polarization m.
+    gate_channel is the 4x4 reference this form reproduces.
+    """
+    interfering, transmit, reflect = (
+        amps.reshape(2, 2) for amps in _gate_kraus_branches(params)
+    )  # rows: signal, columns: meter
+    v = params.visibility
+    multiplier = np.zeros((2, 2))
+    for m, weight in enumerate(meter_weights):
+        a, t, r = interfering[:, m], transmit[:, m], reflect[:, m]
+        multiplier += weight * (
+            v * np.outer(a, a) + (1.0 - v) * (np.outer(t, t) + np.outer(r, r))
+        )
+    return multiplier
 
 
 def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
@@ -228,19 +245,20 @@ def run_setting(
     """Exact outcome distribution of one experimental configuration.
 
     mode selects the meter injection: UNPERTURBED (|H>, no coupling) or
-    PERTURBED (|+>, gate active).  The meter is traced out unanalyzed and
-    the signal is read out at analysis angle theta.
+    PERTURBED (|+>, gate active).  Gating and then discarding the meter
+    unanalyzed is the entrywise product K o rho with the 2x2 multiplier
+    of _signal_multiplier, renormalized by the coincidence success
+    probability; the signal is then read out at analysis angle theta.
     """
-    if mode == UNPERTURBED:
-        meter = _METER_H
-    elif mode == PERTURBED:
-        meter = _METER_PLUS
-    else:
+    if mode not in _METER_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}")
-    signal = prepare_signal(cfg)
-    joint = QState(np.kron(signal.matrix, meter))
-    joint_out, _success = gate_channel(joint, params)
-    return analyzer_distribution(QState(_trace_out_meter(joint_out.matrix)), theta)
+    out = _signal_multiplier(params, _METER_WEIGHTS[mode]) * prepare_signal(cfg).matrix
+    success = float(np.trace(out).real)
+    if success <= SUCCESS_FLOOR:
+        raise PostSelectionError(
+            f"coincidence success probability {success} vanishes"
+        )
+    return analyzer_distribution(QState(out / success), theta)
 
 
 def sample_counts(

@@ -143,6 +143,14 @@ def _check_same_dim(a, b) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _check_family_params(p: float, gamma: float) -> None:
+    """Range check shared by the qubit family and its closed forms."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"population p={p} outside [0, 1]")
+    if not -1.0 <= gamma <= 1.0:
+        raise ValueError(f"coherence gamma={gamma} outside [-1, 1]")
+
+
 def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
     """Qubit with V population p and off-diagonal coherence gamma.
 
@@ -150,10 +158,7 @@ def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
     c = sqrt(p(1-p))*gamma.  gamma=0 is the fully dephased (classical)
     state, gamma=1 a pure superposition.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"population p={p} outside [0, 1]")
-    if not -1.0 <= gamma <= 1.0:
-        raise ValueError(f"coherence gamma={gamma} outside [-1, 1]")
+    _check_family_params(p, gamma)
     off = math.sqrt(p * (1.0 - p)) * gamma * np.exp(-1j * phi)
     return QState(np.array([[1.0 - p, off], [np.conj(off), p]]))
 
@@ -210,11 +215,6 @@ def variance(state: QState, obs: Observable) -> float:
             raise ValueError(f"variance evaluated to {var}")
         var = 0.0
     return float(var)
-
-
-def psd_sqrt(effect: Effect) -> np.ndarray:
-    """Hermitian square root of a PSD effect via eigendecomposition."""
-    return effect.sqrt
 
 
 def trace_norm_distance(a: QState, b: QState) -> float:

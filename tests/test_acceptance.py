@@ -34,7 +34,7 @@ from measurement_coherence import (
     sequential_joint,
     total_probability_residual,
 )
-from measurement_coherence.cli import SweepSpec, cmd_sweep_pure
+from measurement_coherence.cli import SweepSpec, cmd_sweep
 
 IDEAL_GATE = GateParams()
 MEASURED = GateParams(t_h=0.985, t_v=0.324, visibility=1.0)
@@ -229,7 +229,7 @@ def check_8_figure_level_regression(tmp_dir: str) -> str:
     import os
 
     path_a = os.path.join(tmp_dir, "pure_cut.csv")
-    records_a = cmd_sweep_pure(
+    records_a = cmd_sweep(
         SweepSpec(
             axis1="p", a1_min=0.165, a1_max=0.552, a1_steps=2,
             theta_min_deg=0.0, theta_max_deg=90.0, theta_steps=4,
@@ -249,7 +249,7 @@ def check_8_figure_level_regression(tmp_dir: str) -> str:
         assert abs(record.analytic_dv - expected) <= 1e-9
 
     path_b = os.path.join(tmp_dir, "pure_symmetry.csv")
-    records_b = cmd_sweep_pure(
+    records_b = cmd_sweep(
         SweepSpec(
             axis1="p", a1_min=0.165, a1_max=0.835, a1_steps=5,
             theta_min_deg=45.0, theta_max_deg=90.0, theta_steps=2,

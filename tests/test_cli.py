@@ -13,8 +13,7 @@ from measurement_coherence.cli import (
     SweepSpec,
     cmd_max_violation,
     cmd_simulate,
-    cmd_sweep_mixed,
-    cmd_sweep_pure,
+    cmd_sweep,
     main,
 )
 
@@ -106,7 +105,7 @@ class TestSweepPure:
             theta_min_deg=0.0, theta_max_deg=90.0, theta_steps=2,
             flux=1000.0, out=str(out),
         )
-        records = cmd_sweep_pure(spec)
+        records = cmd_sweep(spec)
         by_point = {(round(r.axis1, 3), r.theta): r for r in records}
         assert by_point[(0.552, 90.0)].analytic_dv == pytest.approx(
             4 * 0.552 * 0.448, abs=1e-9
@@ -117,6 +116,18 @@ class TestSweepPure:
         for record in records:
             if record.theta == 0.0:
                 assert abs(record.analytic_dv) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "flag, value, expected", [("--a1-min", 0.5, [0.5, 1.0]), ("--a1-max", 0.5, [0.0, 0.5])]
+    )
+    def test_lone_axis_bound_keeps_the_other_default(self, tmp_path, flag, value, expected):
+        out = tmp_path / "x.csv"
+        code = run_main(
+            ["sweep-pure", flag, value, "--a1-steps", 2, "--theta-steps", 2,
+             "--flux", 100, "--out", out]
+        )
+        assert code == 0
+        assert sorted({row["axis1"] for row in read_csv(out)[1]}) == expected
 
     def test_requires_population_axis(self, tmp_path):
         code = run_main(
@@ -133,7 +144,7 @@ class TestSweepMixed:
             theta_min_deg=36.0, theta_max_deg=84.0, theta_steps=2,
             alpha_deg=12.0, flux=1000.0, out=str(out),
         )
-        records = cmd_sweep_mixed(spec)
+        records = cmd_sweep(spec)
         p_fixed = math.sin(math.radians(24.0)) ** 2
         by_point = {(r.axis1, r.theta): r for r in records}
         assert by_point[(1.0, 36.0)].analytic_dv == pytest.approx(
@@ -178,6 +189,14 @@ class TestMaxViolation:
         by_gamma = {r.axis1: r for r in records}
         assert by_gamma[0.5].analytic_dv == pytest.approx(0.25, abs=1e-12)
         assert by_gamma[1.0].analytic_dv == pytest.approx(1.0, abs=1e-12)
+
+    def test_coherence_scan_rejects_explicit_alpha(self, tmp_path):
+        code = run_main(
+            ["max-violation", "--axis1", "gamma", "--alpha", 10, "--a1-steps", 2,
+             "--flux", 100, "--out", tmp_path / "x.csv"]
+        )
+        assert code == 2
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSimulate:
@@ -237,6 +256,11 @@ class TestExitCodes:
              "--flux", 100, "--out", tmp_path / "missing" / "x.csv"]
         )
         assert code == 1
+
+    def test_vanishing_post_selection_is_a_runtime_error(self, tmp_path, capsys):
+        code = run_main(["simulate", "--th", 0, "--tv", 0, "--out", tmp_path / "x.csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: coincidence success probability")
 
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from measurement_coherence import (
     MEASURED_GATE,
@@ -43,6 +44,16 @@ def density(ket: np.ndarray) -> np.ndarray:
 
 METER_H = density([1.0, 0.0])
 METER_PLUS = density(np.array([1.0, 1.0]) / math.sqrt(2.0))
+
+
+def reference_run_setting(cfg, params, theta, mode):
+    """run_setting through the 4x4 gate: attach the meter, gate, trace it out."""
+    meter = METER_H if mode == UNPERTURBED else METER_PLUS
+    joint_out, _success = gate_channel(
+        joint_state(prepare_signal(cfg).matrix, meter), params
+    )
+    signal = np.einsum("smtm->st", joint_out.matrix.reshape(2, 2, 2, 2))
+    return analyzer_distribution(QState(signal), theta)
 
 
 class TestPrepConfig:
@@ -211,6 +222,35 @@ class TestRunSetting:
         deviation = np.max(np.abs(got.probabilities - reference.probabilities))
         assert deviation > 0.01
         assert got.probability_of(+1.0) == pytest.approx(0.75, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t_h=st.floats(0.0, 1.0),
+        t_v=st.floats(0.0, 1.0),
+        visibility=st.floats(0.0, 1.0),
+        alpha_deg=st.floats(-90.0, 90.0),
+        w_plus=st.floats(0.0, 1.0),
+        phi=st.floats(-math.pi, math.pi),
+        theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+        mode=st.sampled_from((UNPERTURBED, PERTURBED)),
+    )
+    def test_signal_multiplier_matches_the_4x4_gate(
+        self, t_h, t_v, visibility, alpha_deg, w_plus, phi, theta, mode
+    ):
+        cfg = PrepConfig(alpha_deg=alpha_deg, w_plus=w_plus, phi=phi)
+        params = GateParams(t_h=t_h, t_v=t_v, visibility=visibility)
+        try:
+            expected = reference_run_setting(cfg, params, theta, mode)
+        except PostSelectionError:
+            with pytest.raises(PostSelectionError):
+                run_setting(cfg, params, theta, mode)
+            return
+        np.testing.assert_allclose(
+            run_setting(cfg, params, theta, mode).probabilities,
+            expected.probabilities,
+            rtol=0.0,
+            atol=1e-12,
+        )
 
 
 class TestSampleCounts:

@@ -15,7 +15,6 @@ from measurement_coherence import (
     make_state,
     observable_x,
     observable_y,
-    psd_sqrt,
     trace_norm_distance,
     variance,
 )
@@ -185,14 +184,14 @@ class TestVariance:
 
 class TestPsdSqrt:
     def test_identity(self):
-        np.testing.assert_allclose(psd_sqrt(Effect(np.eye(2))), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(Effect(np.eye(2)).sqrt, np.eye(2), atol=1e-12)
 
     def test_projector_is_its_own_root(self):
         proj = observable_y(0.7).effects[1]
-        np.testing.assert_allclose(psd_sqrt(proj), proj.matrix, atol=1e-12)
+        np.testing.assert_allclose(proj.sqrt, proj.matrix, atol=1e-12)
 
     def test_diagonal_quarter(self):
-        root = psd_sqrt(Effect(np.diag([0.25, 1.0])))
+        root = Effect(np.diag([0.25, 1.0])).sqrt
         np.testing.assert_allclose(root, np.diag([0.5, 1.0]), atol=1e-12)
 
     def test_square_recovers_effect(self, rng):
@@ -201,7 +200,7 @@ class TestPsdSqrt:
             g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             mat = g @ g.conj().T
             mat /= np.linalg.eigvalsh(mat)[-1] * (1.0 + rng.uniform(0.0, 1.0))
-            root = psd_sqrt(Effect(mat))
+            root = Effect(mat).sqrt
             np.testing.assert_allclose(root @ root, mat, atol=1e-10)
 
     def test_non_psd_effect_is_rejected_at_construction(self):
