@@ -20,6 +20,7 @@ from .qubit import (
     Effect,
     Observable,
     QState,
+    _born,
     _check_same_dim,
 )
 
@@ -30,6 +31,20 @@ class ZeroProbabilityError(ValueError):
     """Conditioning on an outcome of (numerically) zero probability."""
 
 
+def _checked_probabilities(probabilities) -> np.ndarray:
+    """Validate stacked distributions (..., Y): no entry below -1e-12, each
+    sum within 1e-10 of 1.  Returns them with round-off negatives clipped."""
+    probs = np.asarray(probabilities, dtype=float)
+    if np.min(probs) < -CONSTRUCTION_TOL:
+        raise ValueError(f"negative probability {np.min(probs)}")
+    probs = np.clip(probs, 0.0, None)
+    sums = np.sum(probs, axis=-1)
+    worst = np.argmax(np.abs(sums - 1.0))
+    if abs(float(sums.flat[worst]) - 1.0) > ROUNDOFF_TOL:
+        raise ValueError(f"probabilities sum to {sums.flat[worst]}")
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
     """Probabilities over the real outcome values of one observable."""
@@ -38,12 +53,7 @@ class OutcomeDistribution:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=float)
-        if np.min(probs) < -CONSTRUCTION_TOL:
-            raise ValueError(f"negative probability {np.min(probs)}")
-        probs = np.clip(probs, 0.0, None)
-        if abs(float(np.sum(probs)) - 1.0) > ROUNDOFF_TOL:
-            raise ValueError(f"probabilities sum to {np.sum(probs)}")
+        probs = _checked_probabilities(self.probabilities)
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "probabilities", probs)
 
@@ -90,8 +100,7 @@ class JointDistribution:
 def outcome_distribution(state: QState, obs: Observable) -> OutcomeDistribution:
     """Born-rule probabilities P(y) = tr(rho Pi_y)."""
     _check_same_dim(state, obs)
-    probs = [np.trace(state.matrix @ eff.matrix).real for eff in obs.effects]
-    return OutcomeDistribution(obs.values, np.array(probs))
+    return OutcomeDistribution(obs.values, _born(state.matrix, obs._matrices))
 
 
 def post_measurement_state(state: QState, effect: Effect) -> tuple[QState, float]:
@@ -110,6 +119,18 @@ def post_measurement_state(state: QState, effect: Effect) -> tuple[QState, float
     return QState(unnormalized / prob), prob
 
 
+def _luders(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """sum_x sqrt(E_x) rho sqrt(E_x) for stacked states (..., d, d), with the
+    effect square roots stacked in roots (X, d, d).
+
+    Applied as one matrix product of the flattened states with the
+    channel's d^2 x d^2 matrix C[(j, k), (i, l)] = sum_x S_x[i, j] S_x[k, l].
+    """
+    d = states.shape[-1]
+    channel = np.einsum("xij,xkl->jkil", roots, roots).reshape(d * d, d * d)
+    return (states.reshape(states.shape[:-2] + (d * d,)) @ channel).reshape(states.shape)
+
+
 def luders_channel(state: QState, obs: Observable) -> QState:
     """Measure obs and discard the outcome: sum_x sqrt(E_x) rho sqrt(E_x).
 
@@ -118,11 +139,7 @@ def luders_channel(state: QState, obs: Observable) -> QState:
     directly.
     """
     _check_same_dim(state, obs)
-    out = np.zeros_like(state.matrix)
-    for eff in obs.effects:
-        root = eff.sqrt
-        out += root @ state.matrix @ root
-    return QState(out)
+    return QState(_luders(state.matrix, obs._roots))
 
 
 def is_incoherent(state: QState, obs: Observable) -> bool:
@@ -142,13 +159,9 @@ def sequential_joint(
     """
     _check_same_dim(state, first)
     _check_same_dim(state, second)
-    table = np.zeros((len(first.outcomes), len(second.outcomes)))
-    for i, eff_x in enumerate(first.effects):
-        root = eff_x.sqrt
-        branch = root @ state.matrix @ root  # unnormalized conditional state
-        for j, eff_y in enumerate(second.effects):
-            table[i, j] = np.trace(branch @ eff_y.matrix).real
-    return JointDistribution(first.values, second.values, table)
+    roots = first._roots
+    branches = roots @ state.matrix @ roots  # unnormalized conditional states
+    return JointDistribution(first.values, second.values, _born(branches, second._matrices))
 
 
 def measurement_coherence_witness(obs: Observable, basis: Observable) -> float:
@@ -162,9 +175,5 @@ def measurement_coherence_witness(obs: Observable, basis: Observable) -> float:
     basis_matrix = basis.sharp_basis
     if basis_matrix is None:
         raise ValueError("witness basis must consist of rank-1 orthogonal projectors")
-    off_mask = ~np.eye(obs.dim, dtype=bool)
-    worst = 0.0
-    for eff in obs.effects:
-        in_basis = basis_matrix.conj().T @ eff.matrix @ basis_matrix
-        worst = max(worst, float(np.max(np.abs(in_basis[off_mask]))))
-    return worst
+    in_basis = basis_matrix.conj().T @ obs._matrices @ basis_matrix
+    return float(np.max(np.abs(in_basis[:, ~np.eye(obs.dim, dtype=bool)])))

@@ -10,33 +10,43 @@ Four subcommands emit one record per grid point as CSV or JSON:
 * simulate        full photonic model (gate imperfections, Poisson
                   counts) for both meter configurations per setting.
 
-Angles are accepted in degrees and converted internally.  All sampling
-derives per-point seeds from (master seed, grid index), so output is
-byte-identical for identical arguments.
+Angles are accepted in degrees and converted internally.  Each sweep
+computes its whole grid at once on stacked 2x2 arrays and streams the
+rows to the output.  Sampling uses one generator per sweep, seeded by
+--seed and drawn in grid order, so output is byte-identical for
+identical arguments.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criterion import delta_v
+from .channels import _checked_probabilities
+from .criterion import _variance_law
 from .photonics import (
+    _METER_WEIGHTS,
     PERTURBED,
     UNPERTURBED,
     GateParams,
     MEASURED_GATE,
-    PrepConfig,
-    estimate_delta_v,
-    run_setting,
-    sample_counts,
+    _coincidence_probabilities,
+    _estimate_delta_v,
+    _poisson_counts,
+    _signal_multiplier,
 )
-from .qubit import make_state, observable_x, observable_y
+from .qubit import (
+    _check_family_params,
+    _family_states,
+    _tilted_effects,
+    _variances,
+    observable_x,
+)
 
 CSV_FIELDS = ("axis1", "theta", "analytic_dv", "sampled_dv", "std_err", "z", "trdist_sq")
 
@@ -94,108 +104,110 @@ class SweepRecord:
     z: float
     trdist_sq: float
 
-    def as_row(self) -> tuple[float, ...]:
-        return (
-            self.axis1,
-            self.theta,
-            self.analytic_dv,
-            self.sampled_dv,
-            self.std_err,
-            self.z,
-            self.trdist_sq,
-        )
+
+_OUTCOME_VALUES = np.array([-1.0, +1.0])
 
 
-def _resolve_point(spec: SweepSpec, axis_value: float) -> tuple[float, float]:
-    """Map the swept axis value to the (p, gamma) pair of the grid point."""
-    if spec.axis1 == "p":
-        return axis_value, spec.gamma
-    return math.sin(2.0 * math.radians(spec.alpha_deg)) ** 2, axis_value
+def _grid_rows(
+    spec: SweepSpec, theta_deg: np.ndarray, gate_model_analytic: bool = False
+) -> np.ndarray:
+    """Every grid point of a sweep at once, one row of CSV_FIELDS per point.
 
-
-def _prep_for(p: float, gamma: float) -> PrepConfig:
-    alpha_deg = math.degrees(math.asin(math.sqrt(p)) / 2.0)
-    return PrepConfig(alpha_deg=alpha_deg, w_plus=(1.0 + gamma) / 2.0)
-
-
-def _child_seed(master: int, index: int, branch: int) -> int:
-    seq = np.random.SeedSequence([master, index, branch])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def _make_record(
-    spec: SweepSpec,
-    index: int,
-    axis_value: float,
-    theta_deg: float,
-    gate_model_analytic: bool,
-) -> SweepRecord:
-    p, gamma = _resolve_point(spec, axis_value)
-    theta_rad = math.radians(theta_deg)
-    prep = _prep_for(p, gamma)
-    report = delta_v(make_state(p, gamma), observable_x(), observable_y(theta_rad))
-    modes = (UNPERTURBED, PERTURBED)
-    dists = [run_setting(prep, spec.gate, theta_rad, mode) for mode in modes]
-    if gate_model_analytic:  # the gate model's own noise-free prediction
-        analytic = dists[1].variance() - dists[0].variance()
-    else:
-        analytic = report.delta_v
-    counts = [
-        sample_counts(
-            dist, spec.flux, _child_seed(spec.seed, index, branch), theta=theta_rad, mode=mode
-        )
-        for branch, (mode, dist) in enumerate(zip(modes, dists))
-    ]
-    sampled, std_err = estimate_delta_v(*counts)
-    z = sampled / std_err if std_err > 0.0 else 0.0
-    return SweepRecord(
-        axis1=axis_value,
-        theta=theta_deg,
-        analytic_dv=analytic,
-        sampled_dv=sampled,
-        std_err=std_err,
-        z=z,
-        trdist_sq=report.trace_norm_sq,
-    )
-
-
-def _grid_records(spec: SweepSpec, gate_model_analytic: bool = False) -> list[SweepRecord]:
+    Points run over the axis1 values, then theta_deg (degrees).  Both meter
+    configurations are gated and analyzed for all points together, and
+    one generator seeded by spec.seed draws all counts in grid order.
+    """
     axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
-    theta_values = np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
-    records = []
-    index = 0
-    for axis_value in axis_values:
-        for theta_deg in theta_values:
-            records.append(
-                _make_record(
-                    spec, index, float(axis_value), float(theta_deg), gate_model_analytic
-                )
-            )
-            index += 1
-    return records
-
-
-def _write_records(spec: SweepSpec, records: list[SweepRecord]) -> None:
-    if spec.fmt == "csv":
-        lines = [",".join(CSV_FIELDS)]
-        lines += [",".join(str(v) for v in rec.as_row()) for rec in records]
-        text = "\n".join(lines) + "\n"
+    axis1 = np.repeat(axis_values, len(theta_deg))
+    theta_deg = np.tile(theta_deg, len(axis_values))
+    theta = np.radians(theta_deg)
+    if spec.axis1 == "p":
+        p, gamma = axis1, np.full_like(axis1, spec.gamma)
     else:
-        payload = [dict(zip(CSV_FIELDS, rec.as_row())) for rec in records]
-        text = json.dumps(payload, indent=2) + "\n"
+        p = np.full_like(axis1, math.sin(2.0 * math.radians(spec.alpha_deg)) ** 2)
+        gamma = axis1
+    for extreme in (np.min, np.max):
+        _check_family_params(float(extreme(p)), float(extreme(gamma)))
+    states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
+
+    v_direct, v_dephased, trdist_sq = _variance_law(
+        states, observable_x()._roots, _tilted_effects(theta), _OUTCOME_VALUES
+    )
+    multipliers = np.stack(
+        [_signal_multiplier(spec.gate, _METER_WEIGHTS[mode]) for mode in (UNPERTURBED, PERTURBED)]
+    )
+    probabilities = _checked_probabilities(  # (point, meter mode, outcome)
+        _coincidence_probabilities(states[:, None], multipliers, theta[:, None])
+    )
+    if gate_model_analytic:  # the gate model's own noise-free prediction
+        v_gated = _variances(probabilities, _OUTCOME_VALUES)
+        analytic = v_gated[:, 1] - v_gated[:, 0]
+    else:
+        analytic = v_dephased - v_direct
+    counts = _poisson_counts(np.random.default_rng(spec.seed), spec.flux, probabilities)
+    sampled, std_err = _estimate_delta_v(counts)
+    z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
+    return np.column_stack((axis1, theta_deg, analytic, sampled, std_err, z, trdist_sq))
+
+
+def _theta_grid(spec: SweepSpec) -> np.ndarray:
+    return np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
+
+
+def _sweep_rows(spec: SweepSpec) -> np.ndarray:
+    return _grid_rows(spec, _theta_grid(spec))
+
+
+def _max_violation_rows(spec: SweepSpec) -> np.ndarray:
+    if spec.axis1 == "gamma":
+        spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 1/2
+    return _grid_rows(spec, np.array([90.0]))
+
+
+def _simulate_rows(spec: SweepSpec) -> np.ndarray:
+    return _grid_rows(spec, _theta_grid(spec), gate_model_analytic=True)
+
+
+# Row templates: "%r" of a float is its shortest round-trip form, which is
+# what str() and json.dumps write for finite floats.
+_CSV_ROW = ",".join(["%r"] * len(CSV_FIELDS))
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %r' for name in CSV_FIELDS) + "\n  }"
+_BLOCK_ROWS = 256
+
+
+def _stream_rows(fmt: str, rows: np.ndarray, handle) -> None:
+    """Write rows a block at a time: CSV with a header line, or JSON with
+    the bytes json.dumps(records, indent=2) and a final newline would give."""
+    if fmt == "csv":
+        head, template, separator, tail = ",".join(CSV_FIELDS) + "\n", _CSV_ROW, "\n", "\n"
+    else:
+        head, template, separator, tail = "[\n", _JSON_ROW, ",\n", "\n]\n"
+    handle.write(head)
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        if start:
+            handle.write(separator)
+        block = rows[start : start + _BLOCK_ROWS].tolist()
+        handle.write(separator.join([template % tuple(row) for row in block]))
+    handle.write(tail)
+
+
+def _write_rows(spec: SweepSpec, rows: np.ndarray) -> None:
     if spec.out is None:
-        sys.stdout.write(text)
+        _stream_rows(spec.fmt, rows, sys.stdout)
     else:
         with open(spec.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _stream_rows(spec.fmt, rows, handle)
+
+
+def _emit(spec: SweepSpec, rows: np.ndarray) -> list[SweepRecord]:
+    _write_rows(spec, rows)
+    return [SweepRecord(*row) for row in rows.tolist()]
 
 
 def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Violation surface over (axis1, theta): p at fixed gamma, or gamma at a
     fixed wave-plate angle."""
-    records = _grid_records(spec)
-    _write_records(spec, records)
-    return records
+    return _emit(spec, _sweep_rows(spec))
 
 
 def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
@@ -204,23 +216,13 @@ def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
     Sweeps p at fixed gamma, or gamma at fixed p = 1/2; the analytic
     violation column equals the squared trace distance column here.
     """
-    if spec.axis1 == "gamma":
-        spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 1/2
-    axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
-    records = [
-        _make_record(spec, index, float(axis_value), 90.0, gate_model_analytic=False)
-        for index, axis_value in enumerate(axis_values)
-    ]
-    _write_records(spec, records)
-    return records
+    return _emit(spec, _max_violation_rows(spec))
 
 
 def cmd_simulate(spec: SweepSpec) -> list[SweepRecord]:
     """Full photonic Monte Carlo; the analytic column is the gate model's own
     noise-free prediction, so sampled vs analytic isolates shot noise."""
-    records = _grid_records(spec, gate_model_analytic=True)
-    _write_records(spec, records)
-    return records
+    return _emit(spec, _simulate_rows(spec))
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams) -> None:
@@ -235,8 +237,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams)
                         help="analysis angle upper bound (degrees)")
     parser.add_argument("--theta-steps", type=int, default=50,
                         help="analysis angle grid points")
-    parser.add_argument("--gamma", type=float, default=1.0,
-                        help="fixed coherence when sweeping p")
+    parser.add_argument("--gamma", type=float, default=None,
+                        help="fixed coherence (default 1) when sweeping p")
     parser.add_argument("--alpha", type=float, default=None,
                         help="fixed preparation wave-plate angle (degrees, default 12) "
                         "when sweeping gamma")
@@ -254,15 +256,16 @@ def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams)
                         dest="fmt", help="output format")
 
 
-# name: (function, accepted axis1 values with the default first, default gate)
+# name: (grid rows, accepted axis1 values with the default first, default gate)
 _COMMANDS = {
-    "sweep-pure": (cmd_sweep, ("p",), GateParams()),
-    "sweep-mixed": (cmd_sweep, ("gamma",), GateParams()),
-    "max-violation": (cmd_max_violation, ("p", "gamma"), GateParams()),
-    "simulate": (cmd_simulate, ("p", "gamma"), MEASURED_GATE),
+    "sweep-pure": (_sweep_rows, ("p",), GateParams()),
+    "sweep-mixed": (_sweep_rows, ("gamma",), GateParams()),
+    "max-violation": (_max_violation_rows, ("p", "gamma"), GateParams()),
+    "simulate": (_simulate_rows, ("p", "gamma"), MEASURED_GATE),
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="measurement-coherence",
@@ -279,6 +282,12 @@ def _spec_from_args(args: argparse.Namespace, axes: tuple[str, ...]) -> SweepSpe
     axis1 = args.axis1 or axes[0]
     if axis1 not in axes:
         raise ValueError(f"{args.command} sweeps axis1 = {' or '.join(axes)}")
+    if axis1 == "gamma" and args.gamma is not None:
+        raise ValueError("--gamma fixes the coherence when sweeping p; it cannot "
+                         "be combined with --axis1 gamma")
+    if axis1 == "p" and args.alpha is not None:
+        raise ValueError("--alpha fixes the wave-plate angle when sweeping gamma; it "
+                         "cannot be combined with --axis1 p")
     if args.command == "max-violation" and axis1 == "gamma" and args.alpha is not None:
         raise ValueError("max-violation --axis1 gamma fixes p = 1/2; drop --alpha")
     return SweepSpec(
@@ -289,7 +298,7 @@ def _spec_from_args(args: argparse.Namespace, axes: tuple[str, ...]) -> SweepSpe
         theta_min_deg=args.theta_min,
         theta_max_deg=args.theta_max,
         theta_steps=args.theta_steps,
-        gamma=args.gamma,
+        gamma=1.0 if args.gamma is None else args.gamma,
         alpha_deg=12.0 if args.alpha is None else args.alpha,
         gate=GateParams(t_h=args.th, t_v=args.tv, visibility=args.visibility),
         flux=args.flux,
@@ -302,14 +311,14 @@ def _spec_from_args(args: argparse.Namespace, axes: tuple[str, ...]) -> SweepSpe
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    func, axes, _gate = _COMMANDS[args.command]
+    grid_rows, axes, _gate = _COMMANDS[args.command]
     try:
         spec = _spec_from_args(args, axes)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        func(spec)
+        _write_rows(spec, grid_rows(spec))
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,6 +28,7 @@ import numpy as np
 from .channels import (
     JointDistribution,
     OutcomeDistribution,
+    _luders,
     luders_channel,
     outcome_distribution,
     measurement_coherence_witness,
@@ -35,10 +36,10 @@ from .channels import (
 from .qubit import (
     Observable,
     QState,
+    _born,
     _check_family_params,
     _check_same_dim,
-    trace_norm_distance,
-    variance,
+    _variances,
 )
 
 MASS_FLOOR = 1e-14
@@ -78,6 +79,23 @@ def total_probability_residual(
     return float(np.max(np.abs(direct.probabilities - perturbed.probabilities)))
 
 
+def _variance_law(
+    states: np.ndarray, first_roots: np.ndarray, second_effects: np.ndarray, values
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V[y], V'[y] and ||rho - rho'||_1^2 for stacked states (..., d, d).
+
+    first_roots are the square roots of the first measurement's effects
+    (shared by every state); second_effects, shape (..., Y, d, d), pair
+    with the outcome values and broadcast against the states.  The states
+    are trusted: callers validate them at the API boundary.
+    """
+    dephased = _luders(states, first_roots)
+    probabilities = _born(np.stack((states, dephased)), second_effects)
+    v_direct, v_dephased = _variances(probabilities, np.asarray(values))
+    distance = np.abs(np.linalg.eigvalsh(states - dephased)).sum(axis=-1)
+    return v_direct, v_dephased, distance * distance
+
+
 def delta_v(state: QState, first: Observable, second: Observable) -> CriterionReport:
     """Variance-law violation of measuring second with/without a prior first.
 
@@ -89,10 +107,12 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     """
     _check_same_dim(state, first)
     _check_same_dim(state, second)
-    dephased = luders_channel(state, first)
-    v_direct = variance(state, second)
-    v_dephased = variance(dephased, second)
-    distance = trace_norm_distance(state, dephased)
+    v_direct, v_dephased, trace_norm_sq = (
+        float(x)
+        for x in _variance_law(
+            state.matrix, first._roots, second._matrices, second.values
+        )
+    )
     witness = (
         measurement_coherence_witness(second, first)
         if first.is_sharp()
@@ -102,7 +122,7 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
         v_unperturbed=v_direct,
         v_perturbed=v_dephased,
         delta_v=v_dephased - v_direct,
-        trace_norm_sq=distance * distance,
+        trace_norm_sq=trace_norm_sq,
         witness=witness,
     )
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import OutcomeDistribution
-from .qubit import QState
+from .qubit import QState, _family_states
 
 UNPERTURBED = "unperturbed"  # meter |H>, gate inactive
 PERTURBED = "perturbed"  # meter |+>, gate active
@@ -121,29 +121,34 @@ class CountRecord:
         return int(self.counts.sum())
 
 
-def hwp_jones(angle: float) -> np.ndarray:
-    """Jones matrix of a half-wave plate with fast axis at `angle` (radians)."""
-    c = math.cos(2.0 * angle)
-    s = math.sin(2.0 * angle)
-    return np.array([[c, s], [s, -c]], dtype=np.complex128)
+def hwp_jones(angle) -> np.ndarray:
+    """Jones matrix of a half-wave plate with fast axis at `angle` (radians).
+
+    An array of angles gives the matrices stacked, shape angle.shape + (2, 2).
+    """
+    twice = 2.0 * np.asarray(angle)
+    c = np.cos(twice)
+    s = np.sin(twice)
+    jones = np.empty(c.shape + (2, 2), dtype=np.complex128)
+    jones[..., 0, 0] = c
+    jones[..., 0, 1] = s
+    jones[..., 1, 0] = s
+    jones[..., 1, 1] = -c
+    return jones
 
 
 def prepare_signal(cfg: PrepConfig) -> QState:
     """Mixed signal state from the +-alpha wave-plate settings.
 
-    Equals the qubit family state with p = sin^2(2*alpha) and
-    gamma = w_plus - w_minus.
+    The plates send H to cos(2a)|H> +- sin(2a)|V>; mixing the two with
+    weights w+ and w- keeps the populations and scales the coherence
+    cos(2a) sin(2a) by gamma = w+ - w-.  For 0 <= alpha <= 45 degrees
+    this is the qubit family state with p = sin^2(2*alpha).
     """
-    alpha = math.radians(cfg.alpha_deg)
-    phase = np.exp(1j * cfg.phi)
-    psi_plus = hwp_jones(alpha) @ np.array([1.0, 0.0])
-    psi_minus = hwp_jones(-alpha) @ np.array([1.0, 0.0])
-    psi_plus[1] *= phase
-    psi_minus[1] *= phase
-    matrix = cfg.w_plus * np.outer(psi_plus, psi_plus.conj()) + (
-        1.0 - cfg.w_plus
-    ) * np.outer(psi_minus, psi_minus.conj())
-    return QState(matrix)
+    two_alpha = 2.0 * math.radians(cfg.alpha_deg)
+    cos, sin = math.cos(two_alpha), math.sin(two_alpha)
+    off = cfg.gamma * cos * sin * np.exp(1j * cfg.phi)
+    return QState(_family_states(sin * sin, off))
 
 
 def _gate_kraus_branches(params: GateParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,6 +230,16 @@ def _signal_multiplier(params: GateParams, meter_weights: tuple[float, float]) -
     return multiplier
 
 
+def _analyzer_probabilities(signals: np.ndarray, theta) -> np.ndarray:
+    """Port probabilities (H, V) of stacked signals (..., 2, 2), unchecked.
+
+    A wave plate at theta/4 with its rotation sense chosen so that the H
+    port carries the -1 outcome of y(theta), then a polarizing splitter.
+    """
+    plate = hwp_jones(-np.asarray(theta) / 4.0)
+    return np.einsum("...kj,...jl,...kl->...k", plate, signals, plate.conj()).real
+
+
 def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
     """Analyze the signal with a wave plate at theta/4 and a polarizing splitter.
 
@@ -232,11 +247,26 @@ def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
     the -1 outcome of the tilted observable y(theta); the probabilities
     then coincide with the Born rule for that observable.
     """
-    plate = hwp_jones(-theta / 4.0)
-    rotated = plate @ signal.matrix @ plate.conj().T
-    return OutcomeDistribution(
-        (-1.0, +1.0), np.array([rotated[0, 0].real, rotated[1, 1].real])
-    )
+    return OutcomeDistribution((-1.0, +1.0), _analyzer_probabilities(signal.matrix, theta))
+
+
+def _coincidence_probabilities(
+    signals: np.ndarray, multipliers: np.ndarray, theta
+) -> np.ndarray:
+    """Analyzer probabilities (..., 2) after the post-selected gate, unchecked.
+
+    signals (..., 2, 2), multipliers (..., 2, 2) from _signal_multiplier
+    and theta (...) broadcast together.  Each gated signal K o rho is
+    renormalized by its coincidence success probability tr(K o rho).
+    """
+    gated = multipliers * signals
+    success = np.trace(gated, axis1=-2, axis2=-1).real
+    lowest = success.min()
+    if lowest <= SUCCESS_FLOOR:
+        raise PostSelectionError(
+            f"coincidence success probability {lowest} vanishes"
+        )
+    return _analyzer_probabilities(gated / success[..., None, None], theta)
 
 
 def run_setting(
@@ -252,13 +282,18 @@ def run_setting(
     """
     if mode not in _METER_WEIGHTS:
         raise ValueError(f"unknown mode {mode!r}")
-    out = _signal_multiplier(params, _METER_WEIGHTS[mode]) * prepare_signal(cfg).matrix
-    success = float(np.trace(out).real)
-    if success <= SUCCESS_FLOOR:
-        raise PostSelectionError(
-            f"coincidence success probability {success} vanishes"
-        )
-    return analyzer_distribution(QState(out / success), theta)
+    multiplier = _signal_multiplier(params, _METER_WEIGHTS[mode])
+    return OutcomeDistribution(
+        (-1.0, +1.0),
+        _coincidence_probabilities(prepare_signal(cfg).matrix, multiplier, theta),
+    )
+
+
+def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -> np.ndarray:
+    """Independent Poisson counts with means mean_flux * P, drawn in array order."""
+    if mean_flux <= 0.0:
+        raise ValueError(f"mean_flux={mean_flux} must be positive")
+    return rng.poisson(mean_flux * probabilities)
 
 
 def sample_counts(
@@ -272,37 +307,44 @@ def sample_counts(
 
     The seed fully determines the draw.
     """
-    if mean_flux <= 0.0:
-        raise ValueError(f"mean_flux={mean_flux} must be positive")
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(mean_flux * dist.probabilities)
+    counts = _poisson_counts(np.random.default_rng(seed), mean_flux, dist.probabilities)
     return CountRecord(dist.values, counts, mean_flux, theta=theta, mode=mode)
 
 
-def _variance_estimate(record: CountRecord) -> tuple[float, float]:
-    """Plug-in variance of a +-1 outcome record and its Poisson variance.
+def _estimate_delta_v(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Plug-in violation and its first-order standard error from stacked counts.
 
-    With m = (n+ - n-)/N the estimate is 1 - m^2; first-order propagation
-    of independent Poisson fluctuations (variance = observed count) gives
-    Var = 16 m^2 n+ n- / N^3.
+    counts has shape (..., 2, 2): (unperturbed, perturbed) runs by
+    (-1, +1) outcomes.  Per run, with m = (n+ - n-)/N, the variance
+    estimate is 1 - m^2; propagating independent Poisson fluctuations
+    (variance = observed count) gives it the variance 16 m^2 n+ n- / N^3.
     """
+    totals = counts.sum(axis=-1)
+    if np.any(totals == 0):
+        raise EstimationError("count record is empty")
+    n_minus = counts[..., 0].astype(float)
+    n_plus = counts[..., 1].astype(float)
+    mean = (n_plus - n_minus) / totals
+    var_est = 1.0 - mean * mean
+    var_of_est = 16.0 * mean * mean * n_plus * n_minus / totals.astype(float) ** 3
+    return (
+        var_est[..., 1] - var_est[..., 0],
+        np.sqrt(var_of_est[..., 0] + var_of_est[..., 1]),
+    )
+
+
+def _signed_counts(record: CountRecord) -> np.ndarray:
+    """Counts of a +-1 record in (-1, +1) order."""
     if set(record.values) != {-1.0, +1.0}:
         raise EstimationError(f"expected +-1 outcomes, got {record.values}")
-    total = record.total()
-    if total == 0:
-        raise EstimationError("count record is empty")
-    n_plus = float(record.counts[record.values.index(+1.0)])
-    n_minus = float(record.counts[record.values.index(-1.0)])
-    mean = (n_plus - n_minus) / total
-    var_est = 1.0 - mean * mean
-    var_of_est = 16.0 * mean * mean * n_plus * n_minus / float(total) ** 3
-    return var_est, var_of_est
+    return record.counts[[record.values.index(-1.0), record.values.index(+1.0)]]
 
 
 def estimate_delta_v(
     unperturbed: CountRecord, perturbed: CountRecord
 ) -> tuple[float, float]:
     """Empirical variance-law violation and its propagated standard error."""
-    v_direct, var_direct = _variance_estimate(unperturbed)
-    v_dephased, var_dephased = _variance_estimate(perturbed)
-    return v_dephased - v_direct, math.sqrt(var_direct + var_dephased)
+    value, std_err = _estimate_delta_v(
+        np.array([_signed_counts(unperturbed), _signed_counts(perturbed)])
+    )
+    return float(value), float(std_err)

@@ -116,6 +116,16 @@ class Observable:
         return tuple(e for _, e in self.outcomes)
 
     @cached_property
+    def _matrices(self) -> np.ndarray:
+        """Effect matrices in outcome order, stacked to shape (Y, d, d)."""
+        return np.stack([eff.matrix for eff in self.effects])
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        """Effect square roots in outcome order, stacked to shape (Y, d, d)."""
+        return np.stack([eff.sqrt for eff in self.effects])
+
+    @cached_property
     def sharp_basis(self) -> np.ndarray | None:
         """Unitary with the effect eigenvectors as columns, outcome order.
 
@@ -151,6 +161,21 @@ def _check_family_params(p: float, gamma: float) -> None:
         raise ValueError(f"coherence gamma={gamma} outside [-1, 1]")
 
 
+def _family_states(p, off) -> np.ndarray:
+    """Stacked qubit states [[1-p, conj(off)], [off, p]], shape p.shape + (2, 2).
+
+    The kernel behind make_state and photonics.prepare_signal; callers
+    own the range checks, so the result is not re-validated.
+    """
+    p = np.asarray(p, dtype=float)
+    states = np.empty(p.shape + (2, 2), dtype=np.complex128)
+    states[..., 0, 0] = 1.0 - p
+    states[..., 0, 1] = np.conj(off)
+    states[..., 1, 0] = off
+    states[..., 1, 1] = p
+    return states
+
+
 def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
     """Qubit with V population p and off-diagonal coherence gamma.
 
@@ -159,8 +184,24 @@ def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
     state, gamma=1 a pure superposition.
     """
     _check_family_params(p, gamma)
-    off = math.sqrt(p * (1.0 - p)) * gamma * np.exp(-1j * phi)
-    return QState(np.array([[1.0 - p, off], [np.conj(off), p]]))
+    off = math.sqrt(p * (1.0 - p)) * gamma * np.exp(1j * phi)
+    return QState(_family_states(p, off))
+
+
+def _tilted_effects(theta) -> np.ndarray:
+    """Effects (I -+ Y(theta))/2 of y(theta), shape theta.shape + (2, 2, 2).
+
+    Outcome order is (-1, +1); the kernel behind observable_y.
+    """
+    cos = np.cos(theta)
+    sin = np.sin(theta)
+    op = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
+    op[..., 0, 0] = -cos
+    op[..., 0, 1] = sin
+    op[..., 1, 0] = sin
+    op[..., 1, 1] = cos
+    eye = np.eye(2)
+    return np.stack(((eye - op) / 2.0, (eye + op) / 2.0), axis=-3)
 
 
 def observable_y(theta: float) -> Observable:
@@ -171,22 +212,34 @@ def observable_y(theta: float) -> Observable:
     (I -+ Y)/2.  theta=0 recovers the reference H/V observable, and
     theta=pi/2 is the conjugate (Pauli-x) observable.
     """
-    op = np.array(
-        [[-math.cos(theta), math.sin(theta)], [math.sin(theta), math.cos(theta)]],
-        dtype=np.complex128,
-    )
-    eye = np.eye(2)
-    return Observable(
-        (
-            (-1.0, Effect((eye - op) / 2.0)),
-            (+1.0, Effect((eye + op) / 2.0)),
-        )
-    )
+    minus, plus = _tilted_effects(theta)
+    return Observable(((-1.0, Effect(minus)), (+1.0, Effect(plus))))
 
 
 def observable_x() -> Observable:
     """Reference observable: -1 on H, +1 on V (theta = 0 tilt)."""
     return observable_y(0.0)
+
+
+def _born(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Born probabilities P[..., y] = tr(rho E_y) as one einsum.
+
+    states has shape (..., d, d) and effects (..., Y, d, d); the leading
+    axes broadcast.
+    """
+    return np.einsum("...ij,...yji->...y", states, effects).real
+
+
+def _variances(probabilities: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Outcome variances <y^2> - <y>^2 over the last axis; tiny negative
+    round-off is clamped."""
+    mean = (probabilities * values).sum(axis=-1)
+    mean_sq = (probabilities * (values * values)).sum(axis=-1)
+    var = mean_sq - mean * mean
+    lowest = var.min()
+    if lowest < -CONSTRUCTION_TOL:
+        raise ValueError(f"variance evaluated to {lowest}")
+    return np.maximum(var, 0.0)
 
 
 def expectation(state: QState, obs: Observable) -> float:
@@ -203,18 +256,8 @@ def expectation(state: QState, obs: Observable) -> float:
 def variance(state: QState, obs: Observable) -> float:
     """Outcome variance <y^2> - <y>^2; tiny negative round-off is clamped."""
     _check_same_dim(state, obs)
-    mean = 0.0
-    mean_sq = 0.0
-    for value, eff in obs.outcomes:
-        prob = np.trace(state.matrix @ eff.matrix).real
-        mean += value * prob
-        mean_sq += value * value * prob
-    var = mean_sq - mean * mean
-    if var < 0.0:
-        if var < -CONSTRUCTION_TOL:
-            raise ValueError(f"variance evaluated to {var}")
-        var = 0.0
-    return float(var)
+    probabilities = _born(state.matrix, obs._matrices)
+    return float(_variances(probabilities, np.array(obs.values)))
 
 
 def trace_norm_distance(a: QState, b: QState) -> float:

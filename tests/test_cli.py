@@ -2,15 +2,29 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from measurement_coherence import (
+    PERTURBED,
+    UNPERTURBED,
+    GateParams,
+    PrepConfig,
+    delta_v,
+    make_state,
+    observable_x,
+    observable_y,
+    run_setting,
+)
 from measurement_coherence.cli import (
     CSV_FIELDS,
     SweepSpec,
+    build_parser,
     cmd_max_violation,
     cmd_simulate,
     cmd_sweep,
@@ -55,6 +69,16 @@ class TestSchema:
         payload = json.loads(out.read_text())
         assert len(payload) == 4
         assert all(list(rec.keys()) == list(CSV_FIELDS) for rec in payload)
+
+    @pytest.mark.parametrize("command", ["sweep-pure", "max-violation", "simulate"])
+    def test_json_bytes_are_those_of_json_dumps(self, command, capsys):
+        code = run_main(
+            [command, "--a1-min", 0.2, "--a1-max", 0.8, "--a1-steps", 3,
+             "--theta-steps", 2, "--flux", 1000, "--format", "json"]
+        )
+        assert code == 0
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_stdout_when_no_path_given(self, capsys):
         code = run_main(
@@ -261,6 +285,34 @@ class TestExitCodes:
         code = run_main(["simulate", "--th", 0, "--tv", 0, "--out", tmp_path / "x.csv"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: coincidence success probability")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_count_record_is_a_runtime_error(self, tmp_path, capsys):
+        code = run_main(["simulate", "--flux", 1e-9, "--out", tmp_path / "x.csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: count record is empty")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-mixed", "--gamma", 0.3],
+            ["sweep-pure", "--alpha", 30],
+            ["simulate", "--axis1", "gamma", "--gamma", 0.2],
+            ["max-violation", "--axis1", "p", "--alpha", 30],
+        ],
+    )
+    def test_flag_the_axis_ignores_is_a_usage_error(self, argv, tmp_path, capsys):
+        code = run_main(argv + ["--a1-steps", 2, "--theta-steps", 2, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: --")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
+        assert build_parser() is build_parser()
+        common = ["--a1-steps", 2, "--theta-steps", 2, "--flux", 100]
+        assert run_main(["sweep-mixed", "--alpha", 30, *common, "--out", tmp_path / "a.csv"]) == 0
+        assert run_main(["max-violation", "--axis1", "gamma", *common,
+                         "--out", tmp_path / "b.csv"]) == 0
 
     def test_unknown_flag_exits_2(self):
         proc = subprocess.run(
@@ -295,3 +347,65 @@ class TestSpecValidation:
     def test_simulate_rejects_gamma_outside_domain(self, tmp_path):
         with pytest.raises(ValueError, match="gamma"):
             cmd_simulate(SweepSpec(axis1="p", gamma=1.5, out=str(tmp_path / "x.csv")))
+
+
+def _axis_range(axis1):
+    low = 0.0 if axis1 == "p" else -1.0
+    bounds = st.lists(st.floats(low, 1.0), min_size=2, max_size=2, unique=True)
+    return bounds.map(sorted)
+
+
+class TestEngineMatchesObjectPath:
+    """Every record of the batched grid engine against the per-object API."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        command=st.sampled_from(("sweep", "max-violation", "simulate")),
+        axis1=st.sampled_from(("p", "gamma")),
+        steps=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        theta_range=st.lists(
+            st.floats(-360.0, 360.0), min_size=2, max_size=2, unique=True
+        ).map(sorted),
+        fixed=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 45.0)),
+        gate=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_records_match_delta_v_and_run_setting(
+        self, data, command, axis1, steps, theta_range, fixed, gate
+    ):
+        a1_min, a1_max = data.draw(_axis_range(axis1))
+        spec = SweepSpec(
+            axis1=axis1, a1_min=a1_min, a1_max=a1_max, a1_steps=steps[0],
+            theta_min_deg=theta_range[0], theta_max_deg=theta_range[1],
+            theta_steps=steps[1], gamma=fixed[0], alpha_deg=fixed[1],
+            gate=GateParams(*gate), out=os.devnull,
+        )
+        run = {"sweep": cmd_sweep, "max-violation": cmd_max_violation,
+               "simulate": cmd_simulate}[command]
+        records = run(spec)
+
+        thetas = [90.0] if command == "max-violation" else list(
+            np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
+        )
+        grid = [(a, t) for a in np.linspace(a1_min, a1_max, steps[0]) for t in thetas]
+        assert [(r.axis1, r.theta) for r in records] == grid
+        alpha_deg = 22.5 if command == "max-violation" else spec.alpha_deg
+        for record in records:
+            if axis1 == "p":
+                p, gamma = record.axis1, spec.gamma
+            else:
+                p, gamma = math.sin(2.0 * math.radians(alpha_deg)) ** 2, record.axis1
+            theta = math.radians(record.theta)
+            report = delta_v(make_state(p, gamma), observable_x(), observable_y(theta))
+            if command == "simulate":
+                cfg = PrepConfig(
+                    alpha_deg=math.degrees(math.asin(math.sqrt(p)) / 2.0),
+                    w_plus=(1.0 + gamma) / 2.0,
+                )
+                expected = (run_setting(cfg, spec.gate, theta, PERTURBED).variance()
+                            - run_setting(cfg, spec.gate, theta, UNPERTURBED).variance())
+            else:
+                expected = report.delta_v
+            assert abs(record.analytic_dv - expected) <= 1e-12
+            assert abs(record.trdist_sq - report.trace_norm_sq) <= 1e-12
+            assert record.z == (record.sampled_dv / record.std_err if record.std_err > 0 else 0.0)
