@@ -78,14 +78,11 @@ class JointDistribution:
     table: np.ndarray  # shape (len(x_values), len(y_values))
 
     def __post_init__(self):
+        shape = (len(self.x_values), len(self.y_values))
         table = np.asarray(self.table, dtype=float)
-        if table.shape != (len(self.x_values), len(self.y_values)):
+        if table.shape != shape:
             raise ValueError(f"table shape {table.shape} does not match outcome lists")
-        if np.min(table) < -CONSTRUCTION_TOL:
-            raise ValueError(f"negative joint probability {np.min(table)}")
-        table = np.clip(table, 0.0, None)
-        if abs(float(np.sum(table)) - 1.0) > ROUNDOFF_TOL:
-            raise ValueError(f"joint probabilities sum to {np.sum(table)}")
+        table = _checked_probabilities(table.reshape(-1)).reshape(shape)
         object.__setattr__(self, "x_values", tuple(float(v) for v in self.x_values))
         object.__setattr__(self, "y_values", tuple(float(v) for v in self.y_values))
         object.__setattr__(self, "table", table)

@@ -5,8 +5,9 @@ Four subcommands emit one record per grid point as CSV or JSON:
 * sweep-pure      pure states: grid over p and the analysis angle.
 * sweep-mixed     mixed states: grid over gamma and the analysis angle at
                   a fixed preparation wave-plate angle.
-* max-violation   analysis angle pinned to 90 degrees; violation and
-                  squared trace distance against p or gamma.
+* max-violation   analysis angle pinned to 90 degrees (so the theta flags
+                  are usage errors); violation and squared trace
+                  distance against p or gamma.
 * simulate        full photonic model (gate imperfections, Poisson
                   counts) for both meter configurations per setting.
 
@@ -77,6 +78,10 @@ class SweepSpec:
             raise ValueError("grids need at least 2 steps per axis")
         if not self.a1_min < self.a1_max:
             raise ValueError("axis range must satisfy min < max")
+        if not (math.isfinite(self.theta_min_deg) and math.isfinite(self.theta_max_deg)):
+            raise ValueError(
+                f"theta range [{self.theta_min_deg}, {self.theta_max_deg}] must be finite"
+            )
         if not self.theta_min_deg < self.theta_max_deg:
             raise ValueError("theta range must satisfy min < max")
         low, high = (0.0, 1.0) if self.axis1 == "p" else (-1.0, 1.0)
@@ -86,8 +91,12 @@ class SweepSpec:
             )
         if not -1.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma={self.gamma} outside [-1, 1]")
-        if self.flux <= 0.0:
-            raise ValueError(f"flux={self.flux} must be positive")
+        if not math.isfinite(self.alpha_deg):
+            raise ValueError(f"alpha={self.alpha_deg} must be finite")
+        if not (math.isfinite(self.flux) and self.flux > 0.0):
+            raise ValueError(f"flux={self.flux} must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be nonnegative")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
@@ -129,15 +138,16 @@ def _grid_rows(
     for extreme in (np.min, np.max):
         _check_family_params(float(extreme(p)), float(extreme(gamma)))
     states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
+    effects = _tilted_effects(theta)
 
     v_direct, v_dephased, trdist_sq = _variance_law(
-        states, observable_x()._roots, _tilted_effects(theta), _OUTCOME_VALUES
+        states, observable_x()._roots, effects, _OUTCOME_VALUES
     )
     multipliers = np.stack(
         [_signal_multiplier(spec.gate, _METER_WEIGHTS[mode]) for mode in (UNPERTURBED, PERTURBED)]
     )
     probabilities = _checked_probabilities(  # (point, meter mode, outcome)
-        _coincidence_probabilities(states[:, None], multipliers, theta[:, None])
+        _coincidence_probabilities(states[:, None], multipliers, effects[:, None])
     )
     if gate_model_analytic:  # the gate model's own noise-free prediction
         v_gated = _variances(probabilities, _OUTCOME_VALUES)
@@ -231,12 +241,12 @@ def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams)
     parser.add_argument("--a1-min", type=float, default=0.0, help="axis1 lower bound")
     parser.add_argument("--a1-max", type=float, default=1.0, help="axis1 upper bound")
     parser.add_argument("--a1-steps", type=int, default=50, help="axis1 grid points")
-    parser.add_argument("--theta-min", type=float, default=0.0,
-                        help="analysis angle lower bound (degrees)")
-    parser.add_argument("--theta-max", type=float, default=180.0,
-                        help="analysis angle upper bound (degrees)")
-    parser.add_argument("--theta-steps", type=int, default=50,
-                        help="analysis angle grid points")
+    parser.add_argument("--theta-min", type=float, default=None,
+                        help="analysis angle lower bound (degrees, default 0)")
+    parser.add_argument("--theta-max", type=float, default=None,
+                        help="analysis angle upper bound (degrees, default 180)")
+    parser.add_argument("--theta-steps", type=int, default=None,
+                        help="analysis angle grid points (default 50)")
     parser.add_argument("--gamma", type=float, default=None,
                         help="fixed coherence (default 1) when sweeping p")
     parser.add_argument("--alpha", type=float, default=None,
@@ -290,14 +300,19 @@ def _spec_from_args(args: argparse.Namespace, axes: tuple[str, ...]) -> SweepSpe
                          "cannot be combined with --axis1 p")
     if args.command == "max-violation" and axis1 == "gamma" and args.alpha is not None:
         raise ValueError("max-violation --axis1 gamma fixes p = 1/2; drop --alpha")
+    theta_grid = {name: value for name, value in zip(
+        ("theta_min_deg", "theta_max_deg", "theta_steps"),
+        (args.theta_min, args.theta_max, args.theta_steps),
+    ) if value is not None}  # unset flags keep the SweepSpec defaults
+    if args.command == "max-violation" and theta_grid:
+        raise ValueError("--theta-min/--theta-max/--theta-steps set the analysis-angle "
+                         "grid; max-violation pins theta at 90 degrees")
     return SweepSpec(
         axis1=axis1,
         a1_min=args.a1_min,
         a1_max=args.a1_max,
         a1_steps=args.a1_steps,
-        theta_min_deg=args.theta_min,
-        theta_max_deg=args.theta_max,
-        theta_steps=args.theta_steps,
+        **theta_grid,
         gamma=1.0 if args.gamma is None else args.gamma,
         alpha_deg=12.0 if args.alpha is None else args.alpha,
         gate=GateParams(t_h=args.th, t_v=args.tv, visibility=args.visibility),

@@ -156,27 +156,18 @@ def law_of_total_variance_decomposition(
     """Split the y-marginal variance into its two classical pieces.
 
     Returns (E_x[V[y|x]], V_x[E[y|x]]).  Their sum reproduces the variance
-    of the y-marginal by construction; x-columns with mass below 1e-14
-    have no defined conditional and are skipped.
+    of the y-marginal by construction; x outcomes with mass at most
+    MASS_FLOOR have no defined conditional and are masked out.
     """
     x_mass = joint.table.sum(axis=1)
+    live = x_mass > MASS_FLOOR
+    masses = x_mass[live]
+    conditionals = joint.table[live] / masses[:, None]
     y_values = np.asarray(joint.y_values)
-    expected_cond_var = 0.0
-    cond_means = []
-    masses = []
-    for i, mass in enumerate(x_mass):
-        if mass <= MASS_FLOOR:
-            continue
-        cond = joint.table[i] / mass
-        mean = float(np.dot(y_values, cond))
-        second = float(np.dot(y_values * y_values, cond))
-        expected_cond_var += mass * max(second - mean * mean, 0.0)
-        cond_means.append(mean)
-        masses.append(mass)
-    masses_arr = np.asarray(masses)
-    means_arr = np.asarray(cond_means)
-    overall = float(np.dot(masses_arr, means_arr))
-    var_of_means = float(np.dot(masses_arr, (means_arr - overall) ** 2))
+    cond_means = conditionals @ y_values
+    expected_cond_var = float(masses @ _variances(conditionals, y_values))
+    overall = float(masses @ cond_means)
+    var_of_means = float(masses @ (cond_means - overall) ** 2)
     return expected_cond_var, var_of_means
 
 

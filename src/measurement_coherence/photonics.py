@@ -24,7 +24,10 @@ from coincidence counts:
   (gate on) and is never analyzed, so discarding it realizes the
   measure-and-forget channel on the signal.  The signal is analyzed by a
   half-wave plate at a quarter of the analysis angle followed by a
-  polarizing splitter; counts per output port are Poissonian.
+  polarizing splitter; counts per output port are Poissonian.  The port
+  probabilities are the Born rule of the y(theta) effects and are
+  computed that way; hwp_jones, the plate's Jones matrix, is the
+  physics reference a test ties them to.
 
 Basis ordering for two-photon operators is signal-first:
 (HH, HV, VH, VV).
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import OutcomeDistribution
-from .qubit import QState, _family_states
+from .qubit import QState, _born, _family_states, _tilted_effects
 
 UNPERTURBED = "unperturbed"  # meter |H>, gate inactive
 PERTURBED = "perturbed"  # meter |+>, gate active
@@ -125,6 +128,8 @@ def hwp_jones(angle) -> np.ndarray:
     """Jones matrix of a half-wave plate with fast axis at `angle` (radians).
 
     An array of angles gives the matrices stacked, shape angle.shape + (2, 2).
+    The analyzer's plate is hwp_jones(-theta/4); the diagonal of
+    J rho J^dagger equals analyzer_distribution(rho, theta).
     """
     twice = 2.0 * np.asarray(angle)
     c = np.cos(twice)
@@ -230,34 +235,25 @@ def _signal_multiplier(params: GateParams, meter_weights: tuple[float, float]) -
     return multiplier
 
 
-def _analyzer_probabilities(signals: np.ndarray, theta) -> np.ndarray:
-    """Port probabilities (H, V) of stacked signals (..., 2, 2), unchecked.
-
-    A wave plate at theta/4 with its rotation sense chosen so that the H
-    port carries the -1 outcome of y(theta), then a polarizing splitter.
-    """
-    plate = hwp_jones(-np.asarray(theta) / 4.0)
-    return np.einsum("...kj,...jl,...kl->...k", plate, signals, plate.conj()).real
-
-
 def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
     """Analyze the signal with a wave plate at theta/4 and a polarizing splitter.
 
     The plate's rotation sense is fixed so that the H output port carries
-    the -1 outcome of the tilted observable y(theta); the probabilities
-    then coincide with the Born rule for that observable.
+    the -1 outcome of the tilted observable y(theta), so the port
+    probabilities are the Born rule of the y(theta) effects.
     """
-    return OutcomeDistribution((-1.0, +1.0), _analyzer_probabilities(signal.matrix, theta))
+    return OutcomeDistribution((-1.0, +1.0), _born(signal.matrix, _tilted_effects(theta)))
 
 
 def _coincidence_probabilities(
-    signals: np.ndarray, multipliers: np.ndarray, theta
+    signals: np.ndarray, multipliers: np.ndarray, effects: np.ndarray
 ) -> np.ndarray:
     """Analyzer probabilities (..., 2) after the post-selected gate, unchecked.
 
     signals (..., 2, 2), multipliers (..., 2, 2) from _signal_multiplier
-    and theta (...) broadcast together.  Each gated signal K o rho is
-    renormalized by its coincidence success probability tr(K o rho).
+    and the y(theta) effects (..., 2, 2, 2) from _tilted_effects broadcast
+    together.  Each gated signal K o rho is renormalized by its
+    coincidence success probability tr(K o rho).
     """
     gated = multipliers * signals
     success = np.trace(gated, axis1=-2, axis2=-1).real
@@ -266,7 +262,7 @@ def _coincidence_probabilities(
         raise PostSelectionError(
             f"coincidence success probability {lowest} vanishes"
         )
-    return _analyzer_probabilities(gated / success[..., None, None], theta)
+    return _born(gated / success[..., None, None], effects)
 
 
 def run_setting(
@@ -285,7 +281,9 @@ def run_setting(
     multiplier = _signal_multiplier(params, _METER_WEIGHTS[mode])
     return OutcomeDistribution(
         (-1.0, +1.0),
-        _coincidence_probabilities(prepare_signal(cfg).matrix, multiplier, theta),
+        _coincidence_probabilities(
+            prepare_signal(cfg).matrix, multiplier, _tilted_effects(theta)
+        ),
     )
 
 

@@ -245,12 +245,7 @@ def _variances(probabilities: np.ndarray, values: np.ndarray) -> np.ndarray:
 def expectation(state: QState, obs: Observable) -> float:
     """Mean outcome sum_y y * tr(rho Pi_y)."""
     _check_same_dim(state, obs)
-    total = 0.0 + 0.0j
-    for value, eff in obs.outcomes:
-        total += value * np.trace(state.matrix @ eff.matrix)
-    if abs(total.imag) > ROUNDOFF_TOL:
-        raise ValueError(f"expectation has imaginary residue {total.imag}")
-    return float(total.real)
+    return float(_born(state.matrix, obs._matrices) @ np.array(obs.values))
 
 
 def variance(state: QState, obs: Observable) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from measurement_coherence import (
     Effect,
+    JointDistribution,
     Observable,
     OutcomeDistribution,
     QState,
@@ -45,6 +46,26 @@ class TestOutcomeDistributionType:
         dist = OutcomeDistribution((-1.0, +1.0), np.array([0.25, 0.75]))
         assert dist.mean() == pytest.approx(0.5)
         assert dist.variance() == pytest.approx(0.75)
+
+
+class TestJointDistributionType:
+    def test_clamps_tiny_negatives(self):
+        table = np.array([[0.5 + 1e-13, -1e-13], [0.25, 0.25]])
+        joint = JointDistribution((-1.0, +1.0), (-1.0, +1.0), table)
+        assert joint.table[0, 1] == 0.0
+        assert joint.table.shape == (2, 2)
+
+    def test_rejects_real_negatives(self):
+        with pytest.raises(ValueError, match="negative"):
+            JointDistribution((-1.0, +1.0), (-1.0, +1.0), [[0.6, -0.1], [0.25, 0.25]])
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="sum"):
+            JointDistribution((-1.0, +1.0), (-1.0, +1.0), np.full((2, 2), 0.3))
+
+    def test_rejects_mismatched_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            JointDistribution((-1.0, +1.0), (-1.0, 0.0, +1.0), np.full((2, 2), 0.25))
 
 
 class TestOutcomeDistribution:

@@ -72,9 +72,10 @@ class TestSchema:
 
     @pytest.mark.parametrize("command", ["sweep-pure", "max-violation", "simulate"])
     def test_json_bytes_are_those_of_json_dumps(self, command, capsys):
+        theta = [] if command == "max-violation" else ["--theta-steps", 2]
         code = run_main(
             [command, "--a1-min", 0.2, "--a1-max", 0.8, "--a1-steps", 3,
-             "--theta-steps", 2, "--flux", 1000, "--format", "json"]
+             *theta, "--flux", 1000, "--format", "json"]
         )
         assert code == 0
         text = capsys.readouterr().out
@@ -299,18 +300,45 @@ class TestExitCodes:
             ["sweep-pure", "--alpha", 30],
             ["simulate", "--axis1", "gamma", "--gamma", 0.2],
             ["max-violation", "--axis1", "p", "--alpha", 30],
+            ["max-violation", "--theta-min", 100],
+            ["max-violation", "--theta-max", 45],
+            ["max-violation", "--axis1", "gamma", "--theta-steps", 7],
         ],
     )
     def test_flag_the_axis_ignores_is_a_usage_error(self, argv, tmp_path, capsys):
-        code = run_main(argv + ["--a1-steps", 2, "--theta-steps", 2, "--out", tmp_path / "x.csv"])
+        code = run_main(argv + ["--a1-steps", 2, "--out", tmp_path / "x.csv"])
         assert code == 2
         assert capsys.readouterr().err.startswith("usage error: --")
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--flux", "nan"],
+            ["simulate", "--flux", "inf"],
+            ["sweep-pure", "--theta-max", "inf"],
+            ["sweep-mixed", "--alpha", "nan"],
+            ["sweep-mixed", "--alpha", "inf"],
+            ["simulate", "--seed", -1],
+        ],
+    )
+    def test_non_finite_value_or_negative_seed_is_a_usage_error(self, argv, tmp_path, capsys):
+        code = run_main(argv + ["--a1-steps", 2, "--theta-steps", 2, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_flux_beyond_the_poisson_limit_is_a_runtime_error(self, tmp_path, capsys):
+        code = run_main(["simulate", "--flux", 1e300, "--a1-steps", 2, "--theta-steps", 2,
+                         "--out", tmp_path / "x.csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
         assert build_parser() is build_parser()
-        common = ["--a1-steps", 2, "--theta-steps", 2, "--flux", 100]
-        assert run_main(["sweep-mixed", "--alpha", 30, *common, "--out", tmp_path / "a.csv"]) == 0
+        common = ["--a1-steps", 2, "--flux", 100]
+        assert run_main(["sweep-mixed", "--alpha", 30, *common, "--theta-steps", 2,
+                         "--out", tmp_path / "a.csv"]) == 0
         assert run_main(["max-violation", "--axis1", "gamma", *common,
                          "--out", tmp_path / "b.csv"]) == 0
 

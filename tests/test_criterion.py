@@ -203,6 +203,29 @@ class TestDecomposition:
                 joint.y_marginal().variance(), abs=1e-10
             )
 
+    def test_matches_the_row_by_row_reference(self, rng):
+        def reference(table, y_values):
+            pieces, means, masses = 0.0, [], []
+            for row in table:
+                mass = row.sum()
+                if mass <= 1e-14:
+                    continue
+                cond = row / mass
+                mean = float(np.dot(y_values, cond))
+                pieces += mass * (float(np.dot(y_values**2, cond)) - mean * mean)
+                means.append(mean)
+                masses.append(mass)
+            overall = float(np.dot(masses, means))
+            return pieces, float(np.dot(masses, (np.array(means) - overall) ** 2))
+
+        y_values = np.array([-1.0, 0.5, 2.0])
+        for _ in range(100):
+            table = rng.uniform(size=(3, 3))
+            table[rng.integers(3)] = 0.0  # one x outcome never occurs
+            joint = JointDistribution((0.0, 1.0, 2.0), y_values, table / table.sum())
+            got = law_of_total_variance_decomposition(joint)
+            np.testing.assert_allclose(got, reference(joint.table, y_values), rtol=0.0, atol=1e-12)
+
     def test_zero_mass_column_is_skipped(self):
         table = np.array([[0.0, 0.0], [0.25, 0.75]])
         joint = JointDistribution((-1.0, 1.0), (-1.0, 1.0), table)

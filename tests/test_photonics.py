@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from measurement_coherence import (
     MEASURED_GATE,
@@ -19,6 +19,7 @@ from measurement_coherence import (
     analyzer_distribution,
     estimate_delta_v,
     gate_channel,
+    hwp_jones,
     luders_channel,
     make_state,
     observable_x,
@@ -182,7 +183,23 @@ class TestAnalyzer:
             got = analyzer_distribution(state, theta)
             expected = outcome_distribution(state, observable_y(theta))
             assert got.values == expected.values
-            np.testing.assert_allclose(got.probabilities, expected.probabilities, atol=1e-12)
+            assert np.array_equal(got.probabilities, expected.probabilities)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+        theta=st.floats(-2.0 * np.pi, 2.0 * np.pi),
+    )
+    def test_matches_the_wave_plate_and_polarizing_splitter(self, entries, theta):
+        g = np.reshape(entries[:4], (2, 2)) + 1j * np.reshape(entries[4:], (2, 2))
+        mat = g @ g.conj().T
+        trace = np.trace(mat).real
+        assume(trace > 1e-3)
+        rho = mat / trace
+        plate = hwp_jones(-theta / 4.0)
+        ports = np.diag(plate @ rho @ plate.conj().T).real
+        got = analyzer_distribution(QState(rho), theta)
+        np.testing.assert_allclose(got.probabilities, ports, rtol=0.0, atol=1e-12)
 
 
 class TestRunSetting:
