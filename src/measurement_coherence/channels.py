@@ -116,15 +116,13 @@ def post_measurement_state(state: QState, effect: Effect) -> tuple[QState, float
     return QState(unnormalized / prob), prob
 
 
-def _luders(states: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """sum_x sqrt(E_x) rho sqrt(E_x) for stacked states (..., d, d), with the
-    effect square roots stacked in roots (X, d, d).
+def _luders(states: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """sum_x sqrt(E_x) rho sqrt(E_x) for stacked states (..., d, d).
 
     Applied as one matrix product of the flattened states with the
-    channel's d^2 x d^2 matrix C[(j, k), (i, l)] = sum_x S_x[i, j] S_x[k, l].
+    channel's d^2 x d^2 matrix, Observable._channel of the measurement.
     """
     d = states.shape[-1]
-    channel = np.einsum("xij,xkl->jkil", roots, roots).reshape(d * d, d * d)
     return (states.reshape(states.shape[:-2] + (d * d,)) @ channel).reshape(states.shape)
 
 
@@ -136,7 +134,7 @@ def luders_channel(state: QState, obs: Observable) -> QState:
     directly.
     """
     _check_same_dim(state, obs)
-    return QState(_luders(state.matrix, obs._roots))
+    return QState(_luders(state.matrix, obs._channel))
 
 
 def is_incoherent(state: QState, obs: Observable) -> bool:
@@ -166,8 +164,16 @@ def measurement_coherence_witness(obs: Observable, basis: Observable) -> float:
 
     Zero exactly when every effect of obs is diagonal in the basis, i.e.
     when obs admits a classical (incoherent-mixture) description relative
-    to that reference measurement.
+    to that reference measurement.  Computed once per (obs, basis) pair;
+    the value is kept on obs.
     """
+    memo = obs._witnesses
+    if basis not in memo:
+        memo[basis] = _witness(obs, basis)
+    return memo[basis]
+
+
+def _witness(obs: Observable, basis: Observable) -> float:
     _check_same_dim(obs, basis)
     basis_matrix = basis.sharp_basis
     if basis_matrix is None:

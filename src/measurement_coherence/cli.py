@@ -141,7 +141,7 @@ def _grid_rows(
     effects = _tilted_effects(theta)
 
     v_direct, v_dephased, trdist_sq = _variance_law(
-        states, observable_x()._roots, effects, _OUTCOME_VALUES
+        states, observable_x()._channel, effects, _OUTCOME_VALUES
     )
     multipliers = np.stack(
         [_signal_multiplier(spec.gate, _METER_WEIGHTS[mode]) for mode in (UNPERTURBED, PERTURBED)]

@@ -80,18 +80,20 @@ def total_probability_residual(
 
 
 def _variance_law(
-    states: np.ndarray, first_roots: np.ndarray, second_effects: np.ndarray, values
+    states: np.ndarray, first_channel: np.ndarray, second_effects: np.ndarray,
+    values: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V[y], V'[y] and ||rho - rho'||_1^2 for stacked states (..., d, d).
 
-    first_roots are the square roots of the first measurement's effects
-    (shared by every state); second_effects, shape (..., Y, d, d), pair
-    with the outcome values and broadcast against the states.  The states
-    are trusted: callers validate them at the API boundary.
+    first_channel is the first measurement's Lueders matrix
+    (Observable._channel, shared by every state); second_effects, shape
+    (..., Y, d, d), pair with the outcome values (Y,) and broadcast
+    against the states.  The states are trusted: callers validate them at
+    the API boundary.
     """
-    dephased = _luders(states, first_roots)
-    probabilities = _born(np.stack((states, dephased)), second_effects)
-    v_direct, v_dephased = _variances(probabilities, np.asarray(values))
+    dephased = _luders(states, first_channel)
+    probabilities = _born(np.array((states, dephased)), second_effects)
+    v_direct, v_dephased = _variances(probabilities, values)
     distance = np.abs(np.linalg.eigvalsh(states - dephased)).sum(axis=-1)
     return v_direct, v_dephased, distance * distance
 
@@ -110,7 +112,7 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     v_direct, v_dephased, trace_norm_sq = (
         float(x)
         for x in _variance_law(
-            state.matrix, first._roots, second._matrices, second.values
+            state.matrix, first._channel, second._matrices, second._values
         )
     )
     witness = (

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import OutcomeDistribution
+from .channels import PROBABILITY_FLOOR, OutcomeDistribution
 from .qubit import QState, _born, _family_states, _tilted_effects
 
 UNPERTURBED = "unperturbed"  # meter |H>, gate inactive
@@ -288,10 +288,17 @@ def run_setting(
 
 
 def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -> np.ndarray:
-    """Independent Poisson counts with means mean_flux * P, drawn in array order."""
+    """Independent Poisson counts with means mean_flux * P, drawn in array order.
+
+    Probabilities at or below PROBABILITY_FLOOR are round-off and count as
+    0.  The generator draws no variate for a zero mean and at least one
+    for a positive mean, so without the snap a round-off change in one
+    cell would shift every later count of the sweep.
+    """
     if mean_flux <= 0.0:
         raise ValueError(f"mean_flux={mean_flux} must be positive")
-    return rng.poisson(mean_flux * probabilities)
+    snapped = np.where(probabilities <= PROBABILITY_FLOOR, 0.0, probabilities)
+    return rng.poisson(mean_flux * snapped)
 
 
 def sample_counts(

@@ -14,6 +14,7 @@ that accumulate round-off (eigenvalues, matrix square roots).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,15 +24,22 @@ CONSTRUCTION_TOL = 1e-12
 ROUNDOFF_TOL = 1e-10
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 def _as_square_complex(matrix) -> np.ndarray:
-    mat = np.asarray(matrix, dtype=np.complex128)
+    """A read-only complex copy, so that no later write to the caller's
+    array can bypass validation or leave a cached quantity stale."""
+    mat = np.array(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return mat
+    return _read_only(mat)
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.conj().T)))
+    return float(np.abs(mat - mat.conj().T).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +63,9 @@ class QState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def __reduce__(self):  # pickle and copy rebuild through the checks
+        return type(self), (self.matrix,)
+
 
 @dataclass(frozen=True, eq=False)
 class Effect:
@@ -75,6 +86,9 @@ class Effect:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    def __reduce__(self):  # pickle and copy rebuild through the checks
+        return type(self), (self.matrix,)
+
     @cached_property
     def sqrt(self) -> np.ndarray:
         """Hermitian PSD square root, computed once per effect."""
@@ -84,7 +98,7 @@ class Effect:
         # Eigenvalues at round-off scale are genuine zeros; square-rooting
         # them would inject sqrt(eps)-sized spurious amplitudes.
         cleaned = np.where(eigenvalues < CONSTRUCTION_TOL, 0.0, eigenvalues)
-        return (vectors * np.sqrt(cleaned)) @ vectors.conj().T
+        return _read_only((vectors * np.sqrt(cleaned)) @ vectors.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +121,9 @@ class Observable:
     def dim(self) -> int:
         return self.outcomes[0][1].dim
 
+    def __reduce__(self):  # pickle and copy rebuild without the caches
+        return type(self), (self.outcomes,)
+
     @property
     def values(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self.outcomes)
@@ -115,15 +132,39 @@ class Observable:
     def effects(self) -> tuple[Effect, ...]:
         return tuple(e for _, e in self.outcomes)
 
+    # Computed once per observable; the effect matrices are read-only, so
+    # nothing derived from them can go stale.
+
+    @cached_property
+    def _values(self) -> np.ndarray:
+        """Outcome values as an array, shape (Y,)."""
+        return _read_only(np.array(self.values))
+
     @cached_property
     def _matrices(self) -> np.ndarray:
         """Effect matrices in outcome order, stacked to shape (Y, d, d)."""
-        return np.stack([eff.matrix for eff in self.effects])
+        return _read_only(np.stack([eff.matrix for eff in self.effects]))
 
     @cached_property
     def _roots(self) -> np.ndarray:
         """Effect square roots in outcome order, stacked to shape (Y, d, d)."""
-        return np.stack([eff.sqrt for eff in self.effects])
+        return _read_only(np.stack([eff.sqrt for eff in self.effects]))
+
+    @cached_property
+    def _channel(self) -> np.ndarray:
+        """d^2 x d^2 matrix of the Lueders channel rho -> sum_x S_x rho S_x,
+        C[(j, k), (i, l)] = sum_x S_x[i, j] S_x[k, l] with S_x = sqrt(E_x):
+        the flattened state times C is the flattened dephased state."""
+        d = self.dim
+        roots = self._roots
+        channel = np.einsum("xij,xkl->jkil", roots, roots).reshape(d * d, d * d)
+        return _read_only(channel)
+
+    @cached_property
+    def _witnesses(self) -> weakref.WeakKeyDictionary:
+        """measurement_coherence_witness(self, basis) per basis, filled on
+        first use; keyed weakly, so a memo never keeps a basis alive."""
+        return weakref.WeakKeyDictionary()
 
     @cached_property
     def sharp_basis(self) -> np.ndarray | None:
@@ -141,7 +182,7 @@ class Observable:
                 return None
             _eigenvalues, vectors = np.linalg.eigh(mat)
             columns.append(vectors[:, -1])
-        return np.column_stack(columns)
+        return _read_only(np.column_stack(columns))
 
     def is_sharp(self) -> bool:
         """True when every effect is a rank-1 orthogonal projector."""
@@ -233,8 +274,8 @@ def _born(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
 def _variances(probabilities: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Outcome variances <y^2> - <y>^2 over the last axis; tiny negative
     round-off is clamped."""
-    mean = (probabilities * values).sum(axis=-1)
-    mean_sq = (probabilities * (values * values)).sum(axis=-1)
+    mean = probabilities @ values
+    mean_sq = probabilities @ (values * values)
     var = mean_sq - mean * mean
     lowest = var.min()
     if lowest < -CONSTRUCTION_TOL:
@@ -245,14 +286,14 @@ def _variances(probabilities: np.ndarray, values: np.ndarray) -> np.ndarray:
 def expectation(state: QState, obs: Observable) -> float:
     """Mean outcome sum_y y * tr(rho Pi_y)."""
     _check_same_dim(state, obs)
-    return float(_born(state.matrix, obs._matrices) @ np.array(obs.values))
+    return float(_born(state.matrix, obs._matrices) @ obs._values)
 
 
 def variance(state: QState, obs: Observable) -> float:
     """Outcome variance <y^2> - <y>^2; tiny negative round-off is clamped."""
     _check_same_dim(state, obs)
     probabilities = _born(state.matrix, obs._matrices)
-    return float(_variances(probabilities, np.array(obs.values)))
+    return float(_variances(probabilities, obs._values))
 
 
 def trace_norm_distance(a: QState, b: QState) -> float:

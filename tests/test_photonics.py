@@ -29,6 +29,7 @@ from measurement_coherence import (
     run_setting,
     sample_counts,
 )
+from measurement_coherence.photonics import _poisson_counts
 from conftest import random_density
 
 IDEAL = GateParams()
@@ -298,6 +299,18 @@ class TestSampleCounts:
         record = sample_counts(dist, 1e6, seed=11)
         relative = np.abs(record.counts / 5e5 - 1.0)
         assert np.all(relative < 5e-3)
+
+    def test_round_off_probability_draws_like_zero(self):
+        # one generator draws a whole sweep in array order, so a cell that
+        # holds 3.7e-33 instead of an exact 0 must not shift later counts
+        probabilities = np.array([[3.7e-33, 1.0], [0.4, 0.6], [0.25, 0.75]])
+        exact = probabilities.copy()
+        exact[0, 0] = 0.0
+        for seed in range(20):
+            noisy_counts = _poisson_counts(np.random.default_rng(seed), 1e5, probabilities)
+            exact_counts = _poisson_counts(np.random.default_rng(seed), 1e5, exact)
+            np.testing.assert_array_equal(noisy_counts, exact_counts)
+            assert noisy_counts[0, 0] == 0
 
     def test_flux_must_be_positive(self):
         dist = analyzer_distribution(make_state(0.3, 0.9), 0.8)

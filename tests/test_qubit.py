@@ -1,6 +1,8 @@
 """States, observables, and small-matrix operations."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from measurement_coherence import (
     Observable,
     QState,
     commutator_norm,
+    delta_v,
     expectation,
     half_trace_norm_distance,
     make_state,
@@ -288,3 +291,48 @@ class TestValidation:
         half = Effect(np.eye(2) * 0.5)
         with pytest.raises(ValueError, match="distinct"):
             Observable(((1.0, half), (1.0, half)))
+
+
+class TestReadOnlyMatrices:
+    """Objects copy their input and freeze it, so no write can bypass the
+    constructor checks or leave a cached quantity stale."""
+
+    def test_in_place_write_raises(self):
+        state = make_state(0.3, 0.9)
+        obs = observable_y(0.4)
+        effect = obs.effects[1]
+        for array in (state.matrix, effect.matrix, effect.sqrt, obs._values,
+                      obs._matrices, obs._roots, obs._channel, obs.sharp_basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_mutating_the_source_array_leaves_the_object_unchanged(self):
+        source = np.diag([0.25, 0.75]).astype(np.complex128)
+        state = QState(source)
+        effect = Effect(source)
+        source[0, 1] = source[1, 0] = 0.5
+        source[0, 0] = 2.0
+        for obj in (state, effect):
+            np.testing.assert_array_equal(obj.matrix, np.diag([0.25, 0.75]))
+            assert obj.matrix is not source
+
+    def test_observable_caches_follow_the_effects_it_was_built_from(self):
+        minus = np.diag([1.0, 0.0]).astype(np.complex128)
+        plus = np.diag([0.0, 1.0]).astype(np.complex128)
+        obs = Observable(((-1.0, Effect(minus)), (+1.0, Effect(plus))))
+        channel = obs._channel.copy()
+        minus[:] = plus[:] = 0.5  # both sources now hold a different POVM
+        np.testing.assert_array_equal(obs._matrices, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        np.testing.assert_array_equal(obs._channel, channel)
+        assert variance(make_state(0.5, 1.0), obs) == 1.0
+
+    def test_pickle_and_copy_rebuild_through_the_constructor(self):
+        first, second = observable_x(), observable_y(1.0)
+        state = make_state(0.3, 0.5)
+        report = delta_v(state, first, second)  # fills the caches and the memo
+        for copied in (pickle.loads(pickle.dumps((state, first, second))),
+                       copy.deepcopy((state, first, second))):
+            assert copied[0].matrix.flags.writeable is False
+            assert copied[2]._matrices.flags.writeable is False
+            np.testing.assert_array_equal(copied[2]._channel, second._channel)
+            assert delta_v(*copied) == report
