@@ -20,8 +20,10 @@ from .qubit import (
     Effect,
     Observable,
     QState,
+    _Value,
     _born,
     _check_same_dim,
+    _read_only,
 )
 
 PROBABILITY_FLOOR = 1e-14
@@ -33,20 +35,23 @@ class ZeroProbabilityError(ValueError):
 
 def _checked_probabilities(probabilities) -> np.ndarray:
     """Validate stacked distributions (..., Y): no entry below -1e-12, each
-    sum within 1e-10 of 1.  Returns them with round-off negatives clipped."""
+    sum within 1e-10 of 1.  Returns a read-only copy with round-off
+    negatives clipped.  The checks are written 'not within bound', so that
+    NaN fails them."""
     probs = np.asarray(probabilities, dtype=float)
-    if np.min(probs) < -CONSTRUCTION_TOL:
-        raise ValueError(f"negative probability {np.min(probs)}")
+    lowest = np.min(probs)
+    if not lowest >= -CONSTRUCTION_TOL:
+        raise ValueError(f"negative probability {lowest}")
     probs = np.clip(probs, 0.0, None)
     sums = np.sum(probs, axis=-1)
     worst = np.argmax(np.abs(sums - 1.0))
-    if abs(float(sums.flat[worst]) - 1.0) > ROUNDOFF_TOL:
+    if not abs(float(sums.flat[worst]) - 1.0) <= ROUNDOFF_TOL:
         raise ValueError(f"probabilities sum to {sums.flat[worst]}")
-    return probs
+    return _read_only(probs)
 
 
 @dataclass(frozen=True, eq=False)
-class OutcomeDistribution:
+class OutcomeDistribution(_Value):
     """Probabilities over the real outcome values of one observable."""
 
     values: tuple[float, ...]
@@ -70,7 +75,7 @@ class OutcomeDistribution:
 
 
 @dataclass(frozen=True, eq=False)
-class JointDistribution:
+class JointDistribution(_Value):
     """Table P(x, y) for a first measurement x followed by a second y."""
 
     x_values: tuple[float, ...]

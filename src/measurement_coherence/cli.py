@@ -5,11 +5,16 @@ Four subcommands emit one record per grid point as CSV or JSON:
 * sweep-pure      pure states: grid over p and the analysis angle.
 * sweep-mixed     mixed states: grid over gamma and the analysis angle at
                   a fixed preparation wave-plate angle.
-* max-violation   analysis angle pinned to 90 degrees (so the theta flags
-                  are usage errors); violation and squared trace
-                  distance against p or gamma.
+* max-violation   analysis angle pinned to 90 degrees; violation and
+                  squared trace distance against p or gamma.
 * simulate        full photonic model (gate imperfections, Poisson
                   counts) for both meter configurations per setting.
+
+A flag the command does not read is a usage error that names it:
+max-violation reads neither --alpha nor the theta flags, and no command
+reads the fixed value of the axis it sweeps (--gamma with --axis1 gamma,
+--alpha with --axis1 p).  --alpha lies in [0, 45] degrees; with gamma in
+[-1, 1] that reaches every state of the family.
 
 Angles are accepted in degrees and converted internally.  Each sweep
 computes its whole grid at once on stacked 2x2 arrays and streams the
@@ -24,7 +29,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .photonics import (
     UNPERTURBED,
     GateParams,
     MEASURED_GATE,
+    PrepConfig,
     _coincidence_probabilities,
     _estimate_delta_v,
     _poisson_counts,
@@ -49,9 +55,6 @@ from .qubit import (
     observable_x,
 )
 
-CSV_FIELDS = ("axis1", "theta", "analytic_dv", "sampled_dv", "std_err", "z", "trdist_sq")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid description shared by all subcommands."""
@@ -64,7 +67,7 @@ class SweepSpec:
     theta_max_deg: float = 180.0
     theta_steps: int = 50
     gamma: float = 1.0  # fixed coherence when axis1 = "p"
-    alpha_deg: float = 12.0  # fixed wave-plate angle when axis1 = "gamma"
+    alpha_deg: float = 12.0  # fixed wave-plate angle in [0, 45] when axis1 = "gamma"
     gate: GateParams = field(default_factory=GateParams)
     flux: float = 1e5
     seed: int = 42
@@ -91,8 +94,8 @@ class SweepSpec:
             )
         if not -1.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma={self.gamma} outside [-1, 1]")
-        if not math.isfinite(self.alpha_deg):
-            raise ValueError(f"alpha={self.alpha_deg} must be finite")
+        if not 0.0 <= self.alpha_deg <= 45.0:
+            raise ValueError(f"alpha={self.alpha_deg} outside [0, 45] degrees")
         if not (math.isfinite(self.flux) and self.flux > 0.0):
             raise ValueError(f"flux={self.flux} must be finite and positive")
         if self.seed < 0:
@@ -114,6 +117,7 @@ class SweepRecord:
     trdist_sq: float
 
 
+CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
 _OUTCOME_VALUES = np.array([-1.0, +1.0])
 
 
@@ -133,7 +137,7 @@ def _grid_rows(
     if spec.axis1 == "p":
         p, gamma = axis1, np.full_like(axis1, spec.gamma)
     else:
-        p = np.full_like(axis1, math.sin(2.0 * math.radians(spec.alpha_deg)) ** 2)
+        p = np.full_like(axis1, PrepConfig(spec.alpha_deg).p)
         gamma = axis1
     for extreme in (np.min, np.max):
         _check_family_params(float(extreme(p)), float(extreme(gamma)))
@@ -235,44 +239,42 @@ def cmd_simulate(spec: SweepSpec) -> list[SweepRecord]:
     return _emit(spec, _simulate_rows(spec))
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, gate_default: GateParams) -> None:
-    parser.add_argument("--axis1", choices=("p", "gamma"), default=None,
-                        help="swept state parameter")
-    parser.add_argument("--a1-min", type=float, default=0.0, help="axis1 lower bound")
-    parser.add_argument("--a1-max", type=float, default=1.0, help="axis1 upper bound")
-    parser.add_argument("--a1-steps", type=int, default=50, help="axis1 grid points")
-    parser.add_argument("--theta-min", type=float, default=None,
-                        help="analysis angle lower bound (degrees, default 0)")
-    parser.add_argument("--theta-max", type=float, default=None,
-                        help="analysis angle upper bound (degrees, default 180)")
-    parser.add_argument("--theta-steps", type=int, default=None,
-                        help="analysis angle grid points (default 50)")
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="fixed coherence (default 1) when sweeping p")
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="fixed preparation wave-plate angle (degrees, default 12) "
-                        "when sweeping gamma")
-    parser.add_argument("--th", type=float, default=gate_default.t_h,
-                        help="gate intensity transmittivity for H")
-    parser.add_argument("--tv", type=float, default=gate_default.t_v,
-                        help="gate intensity transmittivity for V")
-    parser.add_argument("--visibility", type=float, default=gate_default.visibility,
-                        help="two-photon interference visibility")
-    parser.add_argument("--flux", type=float, default=1e5,
-                        help="expected coincidences per setting")
-    parser.add_argument("--seed", type=int, default=42, help="master RNG seed")
-    parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv",
-                        dest="fmt", help="output format")
-
-
-# name: (grid rows, accepted axis1 values with the default first, default gate)
-_COMMANDS = {
-    "sweep-pure": (_sweep_rows, ("p",), GateParams()),
-    "sweep-mixed": (_sweep_rows, ("gamma",), GateParams()),
-    "max-violation": (_max_violation_rows, ("p", "gamma"), GateParams()),
-    "simulate": (_simulate_rows, ("p", "gamma"), MEASURED_GATE),
+# flag: (SweepSpec or GateParams field, type, help).  The parser sets only
+# the flags given, so every default and value check lives in SweepSpec,
+# GateParams and _COMMANDS.
+_FLAGS = {
+    "--axis1": ("axis1", str, "swept state parameter, p or gamma"),
+    "--a1-min": ("a1_min", float, "axis1 lower bound"),
+    "--a1-max": ("a1_max", float, "axis1 upper bound"),
+    "--a1-steps": ("a1_steps", int, "axis1 grid points"),
+    "--theta-min": ("theta_min_deg", float, "analysis angle lower bound in degrees"),
+    "--theta-max": ("theta_max_deg", float, "analysis angle upper bound in degrees"),
+    "--theta-steps": ("theta_steps", int, "analysis angle grid points"),
+    "--gamma": ("gamma", float, "fixed coherence when sweeping p"),
+    "--alpha": ("alpha_deg", float,
+                "fixed preparation wave-plate angle (degrees, 0 to 45) when sweeping gamma"),
+    "--th": ("t_h", float, "gate intensity transmittivity for H"),
+    "--tv": ("t_v", float, "gate intensity transmittivity for V"),
+    "--visibility": ("visibility", float, "two-photon interference visibility"),
+    "--flux": ("flux", float, "expected coincidences per setting"),
+    "--seed": ("seed", int, "master RNG seed"),
+    "--out": ("out", str, "output path (default: stdout)"),
+    "--format": ("fmt", str, "output format, csv or json"),
 }
+
+# name: (grid rows, accepted axis1 values with the default first, default
+# gate, fields the command never reads)
+_COMMANDS = {
+    "sweep-pure": (_sweep_rows, ("p",), GateParams(), ()),
+    "sweep-mixed": (_sweep_rows, ("gamma",), GateParams(), ()),
+    "max-violation": (_max_violation_rows, ("p", "gamma"), GateParams(),
+                      ("alpha_deg", "theta_min_deg", "theta_max_deg", "theta_steps")),
+    "simulate": (_simulate_rows, ("p", "gamma"), MEASURED_GATE, ()),
+}
+# The fixed value of the other state parameter, which a sweep of this axis
+# never reads: gamma for a sweep of p, the wave-plate angle for gamma.
+_UNREAD_ON_AXIS = {"p": ("alpha_deg",), "gamma": ("gamma",)}
+_GATE_FIELDS = frozenset(f.name for f in fields(GateParams))
 
 
 @functools.cache
@@ -282,58 +284,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grid sweeps of the variance-law violation for qubit measurements.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (_func, _axes, gate_default) in _COMMANDS.items():
-        sub = subparsers.add_parser(name)
-        _add_common_flags(sub, gate_default)
+    spec_defaults = {f.name: f.default for f in fields(SweepSpec)}
+    for name, (_rows, axes, gate, _unread) in _COMMANDS.items():
+        defaults = {**spec_defaults, **asdict(gate), "axis1": axes[0]}
+        sub = subparsers.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag, (dest, kind, text) in _FLAGS.items():
+            shown = "" if defaults[dest] is None else f" (default: {defaults[dest]})"
+            sub.add_argument(flag, dest=dest, type=kind, help=text + shown,
+                             metavar=flag[2:].replace("-", "_").upper())
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace, axes: tuple[str, ...]) -> SweepSpec:
-    axis1 = args.axis1 or axes[0]
+def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
+    given = vars(args).copy()  # only the flags on the command line
+    command = given.pop("command")
+    _rows, axes, gate, unread = _COMMANDS[command]
+    axis1 = given.setdefault("axis1", axes[0])
     if axis1 not in axes:
-        raise ValueError(f"{args.command} sweeps axis1 = {' or '.join(axes)}")
-    if axis1 == "gamma" and args.gamma is not None:
-        raise ValueError("--gamma fixes the coherence when sweeping p; it cannot "
-                         "be combined with --axis1 gamma")
-    if axis1 == "p" and args.alpha is not None:
-        raise ValueError("--alpha fixes the wave-plate angle when sweeping gamma; it "
-                         "cannot be combined with --axis1 p")
-    if args.command == "max-violation" and axis1 == "gamma" and args.alpha is not None:
-        raise ValueError("max-violation --axis1 gamma fixes p = 1/2; drop --alpha")
-    theta_grid = {name: value for name, value in zip(
-        ("theta_min_deg", "theta_max_deg", "theta_steps"),
-        (args.theta_min, args.theta_max, args.theta_steps),
-    ) if value is not None}  # unset flags keep the SweepSpec defaults
-    if args.command == "max-violation" and theta_grid:
-        raise ValueError("--theta-min/--theta-max/--theta-steps set the analysis-angle "
-                         "grid; max-violation pins theta at 90 degrees")
-    return SweepSpec(
-        axis1=axis1,
-        a1_min=args.a1_min,
-        a1_max=args.a1_max,
-        a1_steps=args.a1_steps,
-        **theta_grid,
-        gamma=1.0 if args.gamma is None else args.gamma,
-        alpha_deg=12.0 if args.alpha is None else args.alpha,
-        gate=GateParams(t_h=args.th, t_v=args.tv, visibility=args.visibility),
-        flux=args.flux,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.fmt,
-    )
+        raise ValueError(f"{command} sweeps axis1 = {' or '.join(axes)}")
+    unread += _UNREAD_ON_AXIS[axis1]
+    for flag, (name, _type, _help) in _FLAGS.items():
+        if name in given and name in unread:
+            raise ValueError(f"{flag} is not read by {command} --axis1 {axis1}")
+    gate = replace(gate, **{name: given.pop(name) for name in _GATE_FIELDS & given.keys()})
+    return SweepSpec(gate=gate, **given)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    grid_rows, axes, _gate = _COMMANDS[args.command]
+    args = build_parser().parse_args(argv)
     try:
-        spec = _spec_from_args(args, axes)
+        spec = _spec_from_args(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_rows(spec, grid_rows(spec))
+        _write_rows(spec, _COMMANDS[args.command][0](spec))
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

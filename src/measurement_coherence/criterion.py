@@ -57,7 +57,7 @@ class CriterionReport:
     # the first measurement is not sharp
 
     def __post_init__(self):
-        if abs(self.delta_v - (self.v_perturbed - self.v_unperturbed)) > 1e-12:
+        if not abs(self.delta_v - (self.v_perturbed - self.v_unperturbed)) <= 1e-12:
             raise ValueError("delta_v is not the difference of the variances")
 
 

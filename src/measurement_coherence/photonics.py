@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PROBABILITY_FLOOR, OutcomeDistribution
-from .qubit import QState, _born, _family_states, _tilted_effects
+from .qubit import QState, _Value, _born, _family_states, _read_only, _tilted_effects
 
 UNPERTURBED = "unperturbed"  # meter |H>, gate inactive
 PERTURBED = "perturbed"  # meter |+>, gate active
@@ -62,7 +62,10 @@ class PrepConfig:
     """Signal preparation: wave-plate angle, mixing weight, optional phase.
 
     The prepared state has V population p = sin^2(2*alpha) and coherence
-    gamma = w_plus - (1 - w_plus).
+    gamma = w_plus - (1 - w_plus).  Every angle is accepted, but only for
+    alpha in [0, 45] degrees (modulo 90) is the state the qubit family's
+    make_state(p, gamma); in (45, 90) degrees modulo 90, such as 60 or
+    -30, its coherence has the opposite sign to gamma.
     """
 
     alpha_deg: float
@@ -102,7 +105,7 @@ MEASURED_GATE = GateParams(t_h=0.985, t_v=0.324, visibility=1.0)
 
 
 @dataclass(frozen=True)
-class CountRecord:
+class CountRecord(_Value):
     """Poisson coincidence counts for one analyzer setting."""
 
     values: tuple[float, ...]
@@ -112,7 +115,7 @@ class CountRecord:
     mode: str | None = None
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _read_only(np.array(self.counts, dtype=np.int64))
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         if counts.shape != (len(self.values),):

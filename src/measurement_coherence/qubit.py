@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -38,12 +38,24 @@ def _as_square_complex(matrix) -> np.ndarray:
     return _read_only(mat)
 
 
+class _Value:
+    """Base of the library's frozen value types.  Pickle and copy rebuild an
+    instance from its dataclass fields through the constructor, so a copy
+    passes the same checks and holds read-only arrays again (numpy
+    unpickles arrays writeable) and no cached quantity."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 def _hermiticity_defect(mat: np.ndarray) -> float:
+    """Largest |M - M^dagger| entry; NaN or inf when an entry of M is not
+    finite, so callers test 'not defect <= tol' to reject those too."""
     return float(np.abs(mat - mat.conj().T).max())
 
 
 @dataclass(frozen=True, eq=False)
-class QState:
+class QState(_Value):
     """Density matrix: Hermitian, unit trace, positive semidefinite."""
 
     matrix: np.ndarray
@@ -51,8 +63,8 @@ class QState:
     def __post_init__(self):
         mat = _as_square_complex(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        if _hermiticity_defect(mat) > CONSTRUCTION_TOL:
-            raise ValueError("density matrix is not Hermitian")
+        if not _hermiticity_defect(mat) <= CONSTRUCTION_TOL:
+            raise ValueError("density matrix is not Hermitian or not finite")
         if abs(np.trace(mat).real - 1.0) > CONSTRUCTION_TOL:
             raise ValueError(f"density matrix trace is {np.trace(mat).real}, expected 1")
         lowest = float(np.linalg.eigvalsh(mat)[0])
@@ -63,12 +75,9 @@ class QState:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __reduce__(self):  # pickle and copy rebuild through the checks
-        return type(self), (self.matrix,)
-
 
 @dataclass(frozen=True, eq=False)
-class Effect:
+class Effect(_Value):
     """POVM element: Hermitian with spectrum inside [0, 1]."""
 
     matrix: np.ndarray
@@ -76,8 +85,8 @@ class Effect:
     def __post_init__(self):
         mat = _as_square_complex(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        if _hermiticity_defect(mat) > CONSTRUCTION_TOL:
-            raise ValueError("effect is not Hermitian")
+        if not _hermiticity_defect(mat) <= CONSTRUCTION_TOL:
+            raise ValueError("effect is not Hermitian or not finite")
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] < -ROUNDOFF_TOL or eigs[-1] > 1.0 + ROUNDOFF_TOL:
             raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] leaves [0, 1]")
@@ -85,9 +94,6 @@ class Effect:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def __reduce__(self):  # pickle and copy rebuild through the checks
-        return type(self), (self.matrix,)
 
     @cached_property
     def sqrt(self) -> np.ndarray:
@@ -102,7 +108,7 @@ class Effect:
 
 
 @dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(_Value):
     """Finite-outcome observable: real values paired with POVM effects."""
 
     outcomes: tuple[tuple[float, Effect], ...]
@@ -111,6 +117,8 @@ class Observable:
         outcomes = tuple((float(v), e) for v, e in self.outcomes)
         object.__setattr__(self, "outcomes", outcomes)
         values = [v for v, _ in outcomes]
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"outcome values must be finite, got {values}")
         if len(set(values)) != len(values):
             raise ValueError(f"outcome values must be distinct, got {values}")
         total = sum(e.matrix for _, e in outcomes)
@@ -120,9 +128,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.outcomes[0][1].dim
-
-    def __reduce__(self):  # pickle and copy rebuild without the caches
-        return type(self), (self.outcomes,)
 
     @property
     def values(self) -> tuple[float, ...]:

@@ -1,6 +1,8 @@
 """Sequential statistics, the outcome-discarding channel, and the witness."""
 
+import copy
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -26,6 +28,7 @@ from measurement_coherence import (
     post_measurement_state,
     sequential_joint,
 )
+from measurement_coherence.photonics import CountRecord
 from conftest import diagonal_povm, random_density, random_pure
 
 
@@ -45,6 +48,11 @@ class TestOutcomeDistributionType:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="sum"):
             OutcomeDistribution((-1.0, +1.0), np.array([0.6, 0.6]))
+
+    @pytest.mark.parametrize("probabilities", [[np.nan, 1.0], [np.inf, 1.0]])
+    def test_rejects_non_finite(self, probabilities):
+        with pytest.raises(ValueError):
+            OutcomeDistribution((-1.0, +1.0), probabilities)
 
     def test_mean_and_variance(self):
         dist = OutcomeDistribution((-1.0, +1.0), np.array([0.25, 0.75]))
@@ -70,6 +78,45 @@ class TestJointDistributionType:
     def test_rejects_mismatched_shape(self):
         with pytest.raises(ValueError, match="shape"):
             JointDistribution((-1.0, +1.0), (-1.0, 0.0, +1.0), np.full((2, 2), 0.25))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            JointDistribution((-1.0, +1.0), (-1.0, +1.0), [[np.nan, 0.5], [0.25, 0.25]])
+
+
+# attribute: (constructor from that array, valid entries)
+RECORDS = {
+    "probabilities": (lambda array: OutcomeDistribution((-1.0, +1.0), array), [0.5, 0.5]),
+    "table": (lambda array: JointDistribution((-1.0, +1.0), (-1.0, +1.0), array),
+              [[0.25, 0.25], [0.25, 0.25]]),
+    "counts": (lambda array: CountRecord((-1.0, +1.0), array, 10.0), [3, 4]),
+}
+
+
+@pytest.mark.parametrize("attribute", RECORDS)
+class TestReadOnlyRecords:
+    """Validated distributions and counts cannot be edited in place."""
+
+    def test_in_place_write_raises(self, attribute):
+        build, entries = RECORDS[attribute]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(build(np.array(entries)), attribute).flat[0] = 7
+
+    def test_mutating_the_source_array_leaves_the_record_unchanged(self, attribute):
+        build, entries = RECORDS[attribute]
+        source = np.array(entries)
+        record = build(source)
+        source.flat[0] = 7
+        np.testing.assert_array_equal(getattr(record, attribute), entries)
+
+    def test_pickle_and_copy_come_back_read_only(self, attribute):
+        build, entries = RECORDS[attribute]
+        record = build(np.array(entries))
+        for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record),
+                       copy.copy(record)):
+            array = getattr(copied, attribute)
+            assert array.flags.writeable is False
+            np.testing.assert_array_equal(array, entries)
 
 
 class TestOutcomeDistribution:

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from dataclasses import fields
+
 from hypothesis import given, settings, strategies as st
 
 from measurement_coherence import (
@@ -22,6 +24,7 @@ from measurement_coherence import (
     run_setting,
 )
 from measurement_coherence.cli import (
+    _FLAGS,
     CSV_FIELDS,
     SweepSpec,
     build_parser,
@@ -357,6 +360,59 @@ class TestExitCodes:
         )
         capsys.readouterr()
         assert code == 0
+
+
+# One valid value per flag; --axis1 takes the axis of the cell under test.
+VALID_VALUE = {
+    "--axis1": None, "--a1-min": 0.0, "--a1-max": 1.0, "--a1-steps": 2,
+    "--theta-min": 10.0, "--theta-max": 100.0, "--theta-steps": 2,
+    "--gamma": 0.5, "--alpha": 30.0, "--th": 1.0, "--tv": 0.3, "--visibility": 0.9,
+    "--flux": 100.0, "--seed": 7, "--out": None, "--format": "json",
+}
+# (command, axis1): the flags the command does not read on that axis
+UNREAD = {
+    ("sweep-pure", "p"): {"--alpha"},
+    ("sweep-mixed", "gamma"): {"--gamma"},
+    ("max-violation", "p"): {"--alpha", "--theta-min", "--theta-max", "--theta-steps"},
+    ("max-violation", "gamma"): {"--gamma", "--alpha", "--theta-min", "--theta-max",
+                                 "--theta-steps"},
+    ("simulate", "p"): {"--alpha"},
+    ("simulate", "gamma"): {"--gamma"},
+}
+
+
+class TestFlagRules:
+    @pytest.mark.parametrize("flag", VALID_VALUE)
+    @pytest.mark.parametrize("cell", UNREAD, ids="-".join)
+    def test_flag_is_read_or_a_usage_error(self, cell, flag, tmp_path, capsys):
+        command, axis1 = cell
+        out = tmp_path / "x.csv"
+        value = {"--axis1": axis1, "--out": out}.get(flag, VALID_VALUE[flag])
+        theta = [] if command == "max-violation" else ["--theta-steps", 2]
+        code = run_main([command, "--axis1", axis1, "--a1-steps", 2, *theta,
+                         "--flux", 100, "--out", out, flag, value])
+        if flag in UNREAD[cell]:
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"usage error: {flag} ")
+            assert not out.exists()
+        else:
+            assert code == 0
+            assert out.exists()
+
+    def test_every_flag_sets_a_spec_or_gate_field(self):
+        assert list(_FLAGS) == list(VALID_VALUE)
+        names = {f.name for f in fields(SweepSpec)} | {f.name for f in fields(GateParams)}
+        for field_name, _type, _help in _FLAGS.values():
+            assert field_name in names
+
+    @pytest.mark.parametrize("argv", [["sweep-mixed", "--alpha", 60],
+                                      ["sweep-mixed", "--alpha", -1],
+                                      ["simulate", "--axis1", "gamma", "--alpha", 45.5]])
+    def test_alpha_outside_0_to_45_degrees_is_a_usage_error(self, argv, tmp_path, capsys):
+        code = run_main(argv + ["--a1-steps", 2, "--theta-steps", 2, "--out", tmp_path / "x.csv"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("usage error: alpha=")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestSpecValidation:

@@ -93,6 +93,10 @@ class TestDeltaV:
                 witness=0.0,
             )
 
+    def test_report_rejects_nan_variances(self):
+        with pytest.raises(ValueError, match="difference"):
+            CriterionReport(math.nan, math.nan, math.nan, trace_norm_sq=0.0, witness=0.0)
+
 
 class TestAnalyticForms:
     def test_unperturbed_examples(self):

@@ -114,6 +114,16 @@ class TestPrepareSignal:
         expected = make_state(cfg.p, cfg.gamma, 0.9)
         np.testing.assert_allclose(prepare_signal(cfg).matrix, expected.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("alpha", [60.0, -30.0])
+    def test_angle_past_45_degrees_flips_the_coherence(self, alpha):
+        cfg = PrepConfig(alpha_deg=alpha, w_plus=0.75)
+        expected = make_state(cfg.p, -cfg.gamma)
+        np.testing.assert_allclose(prepare_signal(cfg).matrix, expected.matrix, atol=1e-12)
+
+    def test_non_finite_angle_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            prepare_signal(PrepConfig(alpha_deg=math.nan))
+
 
 class TestGateChannel:
     def test_amplitude_bookkeeping_on_basis_states(self):

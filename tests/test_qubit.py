@@ -292,6 +292,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="distinct"):
             Observable(((1.0, half), (1.0, half)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QState(np.full((2, 2), np.nan)),
+            lambda: Effect(np.full((2, 2), np.nan)),
+            lambda: observable_y(np.nan),
+            lambda: make_state(0.5, 1.0, phi=np.nan),
+            lambda: Observable(((np.nan, Effect(np.diag([1.0, 0.0]))),
+                                (1.0, Effect(np.diag([0.0, 1.0]))))),
+        ],
+        ids=["state-nan", "effect-nan", "observable-y-nan",
+             "make-state-phase-nan", "observable-value-nan"],
+    )
+    def test_non_finite_input_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
 
 class TestReadOnlyMatrices:
     """Objects copy their input and freeze it, so no write can bypass the
