@@ -37,12 +37,10 @@ def scan(gate: GateParams, label: str) -> None:
     for index, theta_deg in enumerate((0.0, 30.0, 60.0, 90.0, 120.0)):
         theta = np.radians(theta_deg)
         unpert = sample_counts(
-            run_setting(cfg, gate, theta, UNPERTURBED), FLUX,
-            seed=SEED + 2 * index, theta=theta, mode=UNPERTURBED,
+            run_setting(cfg, gate, theta, UNPERTURBED), FLUX, seed=SEED + 2 * index
         )
         pert = sample_counts(
-            run_setting(cfg, gate, theta, PERTURBED), FLUX,
-            seed=SEED + 2 * index + 1, theta=theta, mode=PERTURBED,
+            run_setting(cfg, gate, theta, PERTURBED), FLUX, seed=SEED + 2 * index + 1
         )
         value, err = estimate_delta_v(unpert, pert)
         ideal = analytic_delta_v(cfg.p, cfg.gamma, theta)

@@ -36,16 +36,13 @@ import numpy as np
 from .channels import _checked_probabilities
 from .criterion import _variance_law
 from .photonics import (
-    _METER_WEIGHTS,
-    PERTURBED,
-    UNPERTURBED,
+    _METER_V,
     GateParams,
     MEASURED_GATE,
     PrepConfig,
     _coincidence_probabilities,
     _estimate_delta_v,
     _poisson_counts,
-    _signal_multiplier,
 )
 from .qubit import (
     _check_family_params,
@@ -147,11 +144,8 @@ def _grid_rows(
     v_direct, v_dephased, trdist_sq = _variance_law(
         states, observable_x()._channel, effects, _OUTCOME_VALUES
     )
-    multipliers = np.stack(
-        [_signal_multiplier(spec.gate, _METER_WEIGHTS[mode]) for mode in (UNPERTURBED, PERTURBED)]
-    )
     probabilities = _checked_probabilities(  # (point, meter mode, outcome)
-        _coincidence_probabilities(states[:, None], multipliers, effects[:, None])
+        _coincidence_probabilities(states[:, None], spec.gate, _METER_V, effects[:, None])
     )
     if gate_model_analytic:  # the gate model's own noise-free prediction
         v_gated = _variances(probabilities, _OUTCOME_VALUES)

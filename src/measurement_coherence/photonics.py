@@ -13,8 +13,9 @@ from coincidence counts:
   leaves the two-V amplitude t_v^2 - r_v^2, a pi phase flip at the ideal
   T_V = 1/3.  One compensating splitter per arm, rotated by 90 degrees
   (transmittivities swapped), balances the polarization-dependent loss;
-  after it all no-interference amplitudes are equal and the post-selected
-  map is a controlled-sign gate at the ideal settings.
+  after it all no-interference amplitudes equal tau = T_H T_V, the two-V
+  reflect-reflect one is r = T_H (1 - T_V), and the post-selected map is
+  a controlled-sign gate at the ideal settings.
 * Partial distinguishability: with two-photon interference visibility v
   the post-selected output is the convex mixture of the interfering map
   and the fully distinguishable one, where the transmit-transmit and
@@ -22,9 +23,12 @@ from coincidence counts:
   incoherently.  v = 1 reproduces textbook interference, v = 0 none.
 * Readout: the meter is injected as |H> (gate off: no coupling) or |+>
   (gate on) and is never analyzed, so discarding it realizes the
-  measure-and-forget channel on the signal.  The signal is analyzed by a
-  half-wave plate at a quarter of the analysis angle followed by a
-  polarizing splitter; counts per output port are Poissonian.  The port
+  measure-and-forget channel on the signal: rho -> K o rho, renormalized,
+  with the 2x2 closed form K of _coincidence_probabilities (identity for
+  |H>, exact dephasing for |+> at the ideal gate).  The signal is
+  analyzed by a half-wave plate at a quarter of the analysis angle
+  followed by a polarizing splitter; counts per output port are
+  Poissonian.  The port
   probabilities are the Born rule of the y(theta) effects and are
   computed that way; hwp_jones, the plate's Jones matrix, is the
   physics reference a test ties them to.
@@ -111,20 +115,18 @@ class CountRecord(_Value):
     values: tuple[float, ...]
     counts: np.ndarray
     mean_flux: float
-    theta: float | None = None
-    mode: str | None = None
 
     def __post_init__(self):
-        counts = _read_only(np.array(self.counts, dtype=np.int64))
+        given = np.asarray(self.counts)
+        if not (np.isfinite(given).all() and (given == np.trunc(given)).all()):
+            raise ValueError("counts must be whole numbers")
+        counts = _read_only(given.astype(np.int64))
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
         if counts.shape != (len(self.values),):
             raise ValueError("one count per outcome value required")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "counts", counts)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 def hwp_jones(angle) -> np.ndarray:
@@ -213,31 +215,6 @@ def gate_channel(joint_in: QState, params: GateParams) -> tuple[QState, float]:
     return QState(out / success), success
 
 
-# Meter diagonals of the two injections; the gate is diagonal and the
-# meter is discarded right after it, so its coherences never matter.
-_METER_WEIGHTS = {UNPERTURBED: (1.0, 0.0), PERTURBED: (0.5, 0.5)}
-
-
-def _signal_multiplier(params: GateParams, meter_weights: tuple[float, float]) -> np.ndarray:
-    """2x2 matrix K with tr_meter(gate(rho (x) meter)) = K o rho (entrywise).
-
-    K = sum_m w_m (v a_m a_m^T + (1 - v)(t_m t_m^T + r_m r_m^T)), where
-    a_m, t_m and r_m are the branch amplitudes at meter polarization m.
-    gate_channel is the 4x4 reference this form reproduces.
-    """
-    interfering, transmit, reflect = (
-        amps.reshape(2, 2) for amps in _gate_kraus_branches(params)
-    )  # rows: signal, columns: meter
-    v = params.visibility
-    multiplier = np.zeros((2, 2))
-    for m, weight in enumerate(meter_weights):
-        a, t, r = interfering[:, m], transmit[:, m], reflect[:, m]
-        multiplier += weight * (
-            v * np.outer(a, a) + (1.0 - v) * (np.outer(t, t) + np.outer(r, r))
-        )
-    return multiplier
-
-
 def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
     """Analyze the signal with a wave plate at theta/4 and a polarizing splitter.
 
@@ -248,17 +225,33 @@ def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
     return OutcomeDistribution((-1.0, +1.0), _born(signal.matrix, _tilted_effects(theta)))
 
 
+# Meter V weight of each run, in _RUNS order: |H> has none, |+> one half.
+# The gate is diagonal and the meter is discarded right after it, so the
+# meter's coherences never matter.
+_RUNS = (UNPERTURBED, PERTURBED)
+_METER_V = np.array([0.0, 0.5])
+
+
 def _coincidence_probabilities(
-    signals: np.ndarray, multipliers: np.ndarray, effects: np.ndarray
+    signals: np.ndarray, params: GateParams, meter_v, effects: np.ndarray
 ) -> np.ndarray:
     """Analyzer probabilities (..., 2) after the post-selected gate, unchecked.
 
-    signals (..., 2, 2), multipliers (..., 2, 2) from _signal_multiplier
-    and the y(theta) effects (..., 2, 2, 2) from _tilted_effects broadcast
-    together.  Each gated signal K o rho is renormalized by its
-    coincidence success probability tr(K o rho).
+    Gating and discarding the meter maps rho to K o rho (entrywise).  After
+    the compensators every branch amplitude is tau = T_H T_V except the
+    reflect-reflect one of the two-V term, r = T_H (1 - T_V), so with
+    visibility v and meter V weight w
+        K = tau^2 J + w [[0, -v tau r], [-v tau r, r^2 - 2 v tau r]],
+    J the all-ones matrix; gate_channel is the 4x4 reference it reproduces.
+    signals (..., 2, 2), meter_v (...) and the y(theta) effects
+    (..., 2, 2, 2) from _tilted_effects broadcast together.  Each gated
+    signal is renormalized by its coincidence success probability tr(K o rho).
     """
-    gated = multipliers * signals
+    tau = params.t_h * params.t_v
+    r = params.t_h * (1.0 - params.t_v)
+    cross = params.visibility * tau * r
+    coupling = np.array([[0.0, -cross], [-cross, r * r - 2.0 * cross]])
+    gated = (tau * tau + np.asarray(meter_v)[..., None, None] * coupling) * signals
     success = np.trace(gated, axis1=-2, axis2=-1).real
     lowest = success.min()
     if lowest <= SUCCESS_FLOOR:
@@ -274,18 +267,17 @@ def run_setting(
     """Exact outcome distribution of one experimental configuration.
 
     mode selects the meter injection: UNPERTURBED (|H>, no coupling) or
-    PERTURBED (|+>, gate active).  Gating and then discarding the meter
-    unanalyzed is the entrywise product K o rho with the 2x2 multiplier
-    of _signal_multiplier, renormalized by the coincidence success
-    probability; the signal is then read out at analysis angle theta.
+    PERTURBED (|+>, gate active).  The signal passes the post-selected
+    gate of _coincidence_probabilities, the meter is discarded unanalyzed,
+    and the signal is read out at analysis angle theta.
     """
-    if mode not in _METER_WEIGHTS:
+    if mode not in _RUNS:
         raise ValueError(f"unknown mode {mode!r}")
-    multiplier = _signal_multiplier(params, _METER_WEIGHTS[mode])
     return OutcomeDistribution(
         (-1.0, +1.0),
         _coincidence_probabilities(
-            prepare_signal(cfg).matrix, multiplier, _tilted_effects(theta)
+            prepare_signal(cfg).matrix, params, _METER_V[_RUNS.index(mode)],
+            _tilted_effects(theta),
         ),
     )
 
@@ -304,19 +296,13 @@ def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -
     return rng.poisson(mean_flux * snapped)
 
 
-def sample_counts(
-    dist: OutcomeDistribution,
-    mean_flux: float,
-    seed: int,
-    theta: float | None = None,
-    mode: str | None = None,
-) -> CountRecord:
+def sample_counts(dist: OutcomeDistribution, mean_flux: float, seed: int) -> CountRecord:
     """Independent Poisson coincidence counts per outcome, mean flux * P(y).
 
     The seed fully determines the draw.
     """
     counts = _poisson_counts(np.random.default_rng(seed), mean_flux, dist.probabilities)
-    return CountRecord(dist.values, counts, mean_flux, theta=theta, mode=mode)
+    return CountRecord(dist.values, counts, mean_flux)
 
 
 def _estimate_delta_v(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

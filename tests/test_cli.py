@@ -16,12 +16,10 @@ from measurement_coherence import (
     PERTURBED,
     UNPERTURBED,
     GateParams,
-    PrepConfig,
     delta_v,
     make_state,
     observable_x,
     observable_y,
-    run_setting,
 )
 from measurement_coherence.cli import (
     _FLAGS,
@@ -35,6 +33,7 @@ from measurement_coherence.cli import (
 )
 
 from test_criterion import oracle_delta_v
+from test_photonics import reference_distribution
 
 
 def read_csv(path):
@@ -464,32 +463,49 @@ class TestEngineMatchesObjectPath:
             theta_steps=steps[1], gamma=fixed[0], alpha_deg=fixed[1],
             gate=GateParams(*gate), out=os.devnull,
         )
-        run = {"sweep": cmd_sweep, "max-violation": cmd_max_violation,
-               "simulate": cmd_simulate}[command]
-        records = run(spec)
+        check_records(spec, command)
 
-        thetas = [90.0] if command == "max-violation" else list(
-            np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
+    def test_records_match_next_to_p_one(self):
+        # the coherence sqrt(p (1 - p)) is ill-conditioned here, so the
+        # reference must take p as given rather than round-trip it through
+        # a wave-plate angle
+        spec = SweepSpec(
+            axis1="p", a1_min=0.5, a1_max=0.9999999999999999, a1_steps=2,
+            theta_min_deg=0.0, theta_max_deg=90.0, theta_steps=3,
+            gate=GateParams(1.0, 0.5, 0.0), out=os.devnull,
         )
-        grid = [(a, t) for a in np.linspace(a1_min, a1_max, steps[0]) for t in thetas]
-        assert [(r.axis1, r.theta) for r in records] == grid
-        alpha_deg = 22.5 if command == "max-violation" else spec.alpha_deg
-        for record in records:
-            if axis1 == "p":
-                p, gamma = record.axis1, spec.gamma
-            else:
-                p, gamma = math.sin(2.0 * math.radians(alpha_deg)) ** 2, record.axis1
-            theta = math.radians(record.theta)
-            report = delta_v(make_state(p, gamma), observable_x(), observable_y(theta))
-            if command == "simulate":
-                cfg = PrepConfig(
-                    alpha_deg=math.degrees(math.asin(math.sqrt(p)) / 2.0),
-                    w_plus=(1.0 + gamma) / 2.0,
-                )
-                expected = (run_setting(cfg, spec.gate, theta, PERTURBED).variance()
-                            - run_setting(cfg, spec.gate, theta, UNPERTURBED).variance())
-            else:
-                expected = report.delta_v
-            assert abs(record.analytic_dv - expected) <= 1e-12
-            assert abs(record.trdist_sq - report.trace_norm_sq) <= 1e-12
-            assert record.z == (record.sampled_dv / record.std_err if record.std_err > 0 else 0.0)
+        check_records(spec, "simulate")
+
+
+def check_records(spec, command):
+    """Run one sweep and check each record against the per-object API; the
+    simulated column goes through the 4x4 reference gate."""
+    run = {"sweep": cmd_sweep, "max-violation": cmd_max_violation,
+           "simulate": cmd_simulate}[command]
+    records = run(spec)
+
+    thetas = [90.0] if command == "max-violation" else list(
+        np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
+    )
+    grid = [(a, t) for a in np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
+            for t in thetas]
+    assert [(r.axis1, r.theta) for r in records] == grid
+    alpha_deg = 22.5 if command == "max-violation" else spec.alpha_deg
+    for record in records:
+        if spec.axis1 == "p":
+            p, gamma = record.axis1, spec.gamma
+        else:
+            p, gamma = math.sin(2.0 * math.radians(alpha_deg)) ** 2, record.axis1
+        theta = math.radians(record.theta)
+        state = make_state(p, gamma)
+        report = delta_v(state, observable_x(), observable_y(theta))
+        if command == "simulate":
+            expected = (
+                reference_distribution(state.matrix, spec.gate, theta, PERTURBED).variance()
+                - reference_distribution(state.matrix, spec.gate, theta, UNPERTURBED).variance()
+            )
+        else:
+            expected = report.delta_v
+        assert abs(record.analytic_dv - expected) <= 1e-12
+        assert abs(record.trdist_sq - report.trace_norm_sq) <= 1e-12
+        assert record.z == (record.sampled_dv / record.std_err if record.std_err > 0 else 0.0)

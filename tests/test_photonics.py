@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from measurement_coherence import (
     MEASURED_GATE,
@@ -48,14 +48,13 @@ METER_H = density([1.0, 0.0])
 METER_PLUS = density(np.array([1.0, 1.0]) / math.sqrt(2.0))
 
 
-def reference_run_setting(cfg, params, theta, mode):
-    """run_setting through the 4x4 gate: attach the meter, gate, trace it out."""
+def reference_distribution(signal, params, theta, mode):
+    """A 2x2 signal through the 4x4 gate: attach the meter, gate, trace it
+    out, and analyze the signal at theta."""
     meter = METER_H if mode == UNPERTURBED else METER_PLUS
-    joint_out, _success = gate_channel(
-        joint_state(prepare_signal(cfg).matrix, meter), params
-    )
-    signal = np.einsum("smtm->st", joint_out.matrix.reshape(2, 2, 2, 2))
-    return analyzer_distribution(QState(signal), theta)
+    joint_out, _success = gate_channel(joint_state(signal, meter), params)
+    reduced = np.einsum("smtm->st", joint_out.matrix.reshape(2, 2, 2, 2))
+    return analyzer_distribution(QState(reduced), theta)
 
 
 class TestPrepConfig:
@@ -262,13 +261,23 @@ class TestRunSetting:
         theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
         mode=st.sampled_from((UNPERTURBED, PERTURBED)),
     )
+    @example(t_h=1.0, t_v=0.0, visibility=1.0, alpha_deg=12.0, w_plus=1.0, phi=0.0,
+             theta=0.7, mode=UNPERTURBED)
+    @example(t_h=1.0, t_v=0.0, visibility=1.0, alpha_deg=12.0, w_plus=1.0, phi=0.0,
+             theta=0.7, mode=PERTURBED)
+    @example(t_h=0.0, t_v=1.0 / 3.0, visibility=1.0, alpha_deg=12.0, w_plus=1.0, phi=0.0,
+             theta=0.7, mode=UNPERTURBED)
+    @example(t_h=0.0, t_v=1.0 / 3.0, visibility=1.0, alpha_deg=12.0, w_plus=1.0, phi=0.0,
+             theta=0.7, mode=PERTURBED)
+    @example(t_h=0.985, t_v=0.324, visibility=0.0, alpha_deg=17.0, w_plus=0.9, phi=0.3,
+             theta=1.2, mode=PERTURBED)
     def test_signal_multiplier_matches_the_4x4_gate(
         self, t_h, t_v, visibility, alpha_deg, w_plus, phi, theta, mode
     ):
         cfg = PrepConfig(alpha_deg=alpha_deg, w_plus=w_plus, phi=phi)
         params = GateParams(t_h=t_h, t_v=t_v, visibility=visibility)
         try:
-            expected = reference_run_setting(cfg, params, theta, mode)
+            expected = reference_distribution(prepare_signal(cfg).matrix, params, theta, mode)
         except PostSelectionError:
             with pytest.raises(PostSelectionError):
                 run_setting(cfg, params, theta, mode)
@@ -330,6 +339,13 @@ class TestSampleCounts:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CountRecord((-1.0, +1.0), np.array([-1, 2]), 10.0)
+
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(ValueError, match="whole"):
+            CountRecord((-1.0, +1.0), [2.7, 3.9], 10.0)
+        record = CountRecord((-1.0, +1.0), [2.0, 3.0], 10.0)
+        np.testing.assert_array_equal(record.counts, [2, 3])
+        assert record.counts.dtype == np.int64
 
 
 class TestEstimateDeltaV:
