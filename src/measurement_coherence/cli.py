@@ -17,18 +17,23 @@ reads the fixed value of the axis it sweeps (--gamma with --axis1 gamma,
 [-1, 1] that reaches every state of the family.
 
 Angles are accepted in degrees and converted internally.  Each sweep
-computes its whole grid at once on stacked 2x2 arrays and streams the
-rows to the output.  Sampling uses one generator per sweep, seeded by
---seed and drawn in grid order, so output is byte-identical for
-identical arguments.
+computes its grid on stacked 2x2 arrays in engine blocks of up to 16384
+points, and writes each block as it finishes, so memory does not grow
+with the grid.  The writer formats each distinct value of a column once
+per block when the column repeats its values.  Sampling uses one
+generator per sweep, seeded by --seed and drawn in grid order, so output
+is byte-identical for identical arguments and does not depend on the
+block size.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -118,98 +123,143 @@ CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
 _OUTCOME_VALUES = np.array([-1.0, +1.0])
 
 
+@functools.cache
+def _x_channel() -> np.ndarray:
+    """Lueders matrix of the x-observable, built once per process."""
+    return observable_x()._channel
+
+
+_ENGINE_POINTS = 16384  # grid points per engine block
+
+
 def _grid_rows(
     spec: SweepSpec, theta_deg: np.ndarray, gate_model_analytic: bool = False
-) -> np.ndarray:
-    """Every grid point of a sweep at once, one row of CSV_FIELDS per point.
+) -> Iterator[np.ndarray]:
+    """Every grid point of a sweep, one row of CSV_FIELDS per point, in
+    blocks of at most _ENGINE_POINTS rows.
 
-    Points run over the axis1 values, then theta_deg (degrees).  Both meter
-    configurations are gated and analyzed for all points together, and
-    one generator seeded by spec.seed draws all counts in grid order.
+    Points run over the axis1 values, then theta_deg (degrees).  Each block
+    gates and analyzes both meter configurations for its points together.
+    One generator seeded by spec.seed draws the counts block after block
+    in grid order, which gives the counts of one draw over the whole grid.
     """
     axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
-    axis1 = np.repeat(axis_values, len(theta_deg))
-    theta_deg = np.tile(theta_deg, len(axis_values))
-    theta = np.radians(theta_deg)
     if spec.axis1 == "p":
-        p, gamma = axis1, np.full_like(axis1, spec.gamma)
+        p, gamma = axis_values, np.full_like(axis_values, spec.gamma)
     else:
-        p = np.full_like(axis1, PrepConfig(spec.alpha_deg).p)
-        gamma = axis1
+        p = np.full_like(axis_values, PrepConfig(spec.alpha_deg).p)
+        gamma = axis_values
     for extreme in (np.min, np.max):
         _check_family_params(float(extreme(p)), float(extreme(gamma)))
-    states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
-    effects = _tilted_effects(theta)
-
-    v_direct, v_dephased, trdist_sq = _variance_law(
-        states, observable_x()._channel, effects, _OUTCOME_VALUES
-    )
-    probabilities = _checked_probabilities(  # (point, meter mode, outcome)
-        _coincidence_probabilities(states[:, None], spec.gate, _METER_V, effects[:, None])
-    )
-    if gate_model_analytic:  # the gate model's own noise-free prediction
-        v_gated = _variances(probabilities, _OUTCOME_VALUES)
-        analytic = v_gated[:, 1] - v_gated[:, 0]
-    else:
-        analytic = v_dephased - v_direct
-    counts = _poisson_counts(np.random.default_rng(spec.seed), spec.flux, probabilities)
-    sampled, std_err = _estimate_delta_v(counts)
-    z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
-    return np.column_stack((axis1, theta_deg, analytic, sampled, std_err, z, trdist_sq))
+    axis_states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
+    theta_effects = _tilted_effects(np.radians(theta_deg))
+    rng = np.random.default_rng(spec.seed)
+    points = len(axis_values) * len(theta_deg)
+    for start in range(0, points, _ENGINE_POINTS):
+        row, column = np.divmod(
+            np.arange(start, min(start + _ENGINE_POINTS, points)), len(theta_deg)
+        )
+        states = axis_states[row]
+        effects = theta_effects[column]
+        v_direct, v_dephased, trdist_sq = _variance_law(
+            states, _x_channel(), effects, _OUTCOME_VALUES
+        )
+        probabilities = _checked_probabilities(  # (point, meter mode, outcome)
+            _coincidence_probabilities(states[:, None], spec.gate, _METER_V, effects[:, None])
+        )
+        if gate_model_analytic:  # the gate model's own noise-free prediction
+            v_gated = _variances(probabilities, _OUTCOME_VALUES)
+            analytic = v_gated[:, 1] - v_gated[:, 0]
+        else:
+            analytic = v_dephased - v_direct
+        counts = _poisson_counts(rng, spec.flux, probabilities)
+        sampled, std_err = _estimate_delta_v(counts)
+        z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
+        yield np.column_stack(
+            (axis_values[row], theta_deg[column], analytic, sampled, std_err, z, trdist_sq)
+        )
 
 
 def _theta_grid(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
 
 
-def _sweep_rows(spec: SweepSpec) -> np.ndarray:
+def _sweep_rows(spec: SweepSpec) -> Iterator[np.ndarray]:
     return _grid_rows(spec, _theta_grid(spec))
 
 
-def _max_violation_rows(spec: SweepSpec) -> np.ndarray:
+def _max_violation_rows(spec: SweepSpec) -> Iterator[np.ndarray]:
     if spec.axis1 == "gamma":
         spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 1/2
     return _grid_rows(spec, np.array([90.0]))
 
 
-def _simulate_rows(spec: SweepSpec) -> np.ndarray:
+def _simulate_rows(spec: SweepSpec) -> Iterator[np.ndarray]:
     return _grid_rows(spec, _theta_grid(spec), gate_model_analytic=True)
 
 
-# Row templates: "%r" of a float is its shortest round-trip form, which is
-# what str() and json.dumps write for finite floats.
-_CSV_ROW = ",".join(["%r"] * len(CSV_FIELDS))
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %r' for name in CSV_FIELDS) + "\n  }"
+# Row templates over the texts of the cells.  repr of a float is its
+# shortest round-trip form, which is what str() and json.dumps write for
+# finite floats.
+_CSV_ROW = ",".join(["%s"] * len(CSV_FIELDS))
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_FIELDS) + "\n  }"
 _BLOCK_ROWS = 256
 
 
-def _stream_rows(fmt: str, rows: np.ndarray, handle) -> None:
-    """Write rows a block at a time: CSV with a header line, or JSON with
-    the bytes json.dumps(records, indent=2) and a final newline would give."""
+def _row_texts(rows: np.ndarray) -> Iterator[Iterator[tuple[str, ...]]]:
+    """The repr texts of the cells of rows, one iterator of row tuples per
+    block of _BLOCK_ROWS rows.
+
+    A column with at most half as many distinct values as rows formats
+    each value once.  Values are told apart by bit pattern, because 0.0
+    and -0.0 compare equal but print differently.
+    """
+    columns = []  # (text of an entry, entries) per column
+    for column in rows.T:
+        patterns, index = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * len(patterns) <= len(column):
+            texts = list(map(repr, patterns.view(np.float64).tolist()))
+            columns.append((texts.__getitem__, index))
+        else:
+            columns.append((repr, column))
+    for start in range(0, len(rows), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        yield zip(*(map(text, entries[start:stop].tolist()) for text, entries in columns))
+
+
+def _stream_rows(fmt: str, blocks: Iterable[np.ndarray], handle) -> None:
+    """Write the rows of each engine block, _BLOCK_ROWS at a time: CSV with
+    a header line, or JSON with the bytes json.dumps(records, indent=2) and
+    a final newline would give."""
     if fmt == "csv":
         head, template, separator, tail = ",".join(CSV_FIELDS) + "\n", _CSV_ROW, "\n", "\n"
     else:
         head, template, separator, tail = "[\n", _JSON_ROW, ",\n", "\n]\n"
     handle.write(head)
-    for start in range(0, len(rows), _BLOCK_ROWS):
-        if start:
-            handle.write(separator)
-        block = rows[start : start + _BLOCK_ROWS].tolist()
-        handle.write(separator.join([template % tuple(row) for row in block]))
+    lead = ""
+    for rows in blocks:
+        for texts in _row_texts(rows):
+            handle.write(lead)
+            handle.write(separator.join([template % row for row in texts]))
+            lead = separator
     handle.write(tail)
 
 
-def _write_rows(spec: SweepSpec, rows: np.ndarray) -> None:
+def _write_rows(spec: SweepSpec, blocks: Iterator[np.ndarray]) -> None:
+    # The first block is computed before the output is opened, so a sweep
+    # that fails there leaves no file behind.
+    blocks = itertools.chain([next(blocks)], blocks)
     if spec.out is None:
-        _stream_rows(spec.fmt, rows, sys.stdout)
+        _stream_rows(spec.fmt, blocks, sys.stdout)
     else:
         with open(spec.out, "w", encoding="utf-8") as handle:
-            _stream_rows(spec.fmt, rows, handle)
+            _stream_rows(spec.fmt, blocks, handle)
 
 
-def _emit(spec: SweepSpec, rows: np.ndarray) -> list[SweepRecord]:
-    _write_rows(spec, rows)
-    return [SweepRecord(*row) for row in rows.tolist()]
+def _emit(spec: SweepSpec, blocks: Iterator[np.ndarray]) -> list[SweepRecord]:
+    blocks = list(blocks)  # the records hold the whole grid anyway
+    _write_rows(spec, iter(blocks))
+    return [SweepRecord(*row) for rows in blocks for row in rows.tolist()]
 
 
 def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:

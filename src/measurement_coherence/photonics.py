@@ -120,6 +120,11 @@ class CountRecord(_Value):
         given = np.asarray(self.counts)
         if not (np.isfinite(given).all() and (given == np.trunc(given)).all()):
             raise ValueError("counts must be whole numbers")
+        # The int64 cast is checked first: out of range it warns and wraps.
+        # An int64 input is in range, and on numpy 1.x comparing it with
+        # 2**63 would go through float64.
+        if given.dtype.kind != "i" and not ((given >= -(2**63)) & (given < 2**63)).all():
+            raise ValueError("counts must lie in the int64 range [-2**63, 2**63)")
         counts = _read_only(given.astype(np.int64))
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")

@@ -1,16 +1,18 @@
 """Sweep commands: schemas, reproducibility, anchors, exit codes."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from dataclasses import fields
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from measurement_coherence import (
     PERTURBED,
@@ -21,8 +23,12 @@ from measurement_coherence import (
     observable_x,
     observable_y,
 )
+from measurement_coherence import cli
 from measurement_coherence.cli import (
+    _BLOCK_ROWS,
     _FLAGS,
+    _stream_rows,
+    _x_channel,
     CSV_FIELDS,
     SweepSpec,
     build_parser,
@@ -122,6 +128,103 @@ class TestDeterminism:
             first["sampled_dv"] != second["sampled_dv"]
             for first, second in zip(rows[0], rows[1])
         )
+
+
+def row_writer_text(fmt, rows):
+    """What the writer wrote before it formatted columns: a %r template
+    over each row."""
+    if fmt == "csv":
+        head, separator, tail = ",".join(CSV_FIELDS) + "\n", "\n", "\n"
+        template = ",".join(["%r"] * len(CSV_FIELDS))
+    else:
+        head, separator, tail = "[\n", ",\n", "\n]\n"
+        template = "  {\n" + ",\n".join(f'    "{name}": %r' for name in CSV_FIELDS) + "\n  }"
+    return head + separator.join(template % tuple(row) for row in rows.tolist()) + tail
+
+
+# Repeated values: signed zeros (equal, but printed differently), the
+# smallest subnormal, and values whose repr switches to exponent form.
+_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5, 0.1, -2.5, 1.0)
+
+
+@st.composite
+def engine_blocks(draw):
+    """(n, 7) rows mixing columns from small pools with continuous ones,
+    and the cut points that split them into engine blocks.  The entries
+    come from a drawn numpy seed, so that a failure shrinks quickly."""
+    n = draw(st.integers(0, 3 * _BLOCK_ROWS + 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _name in CSV_FIELDS:
+        if draw(st.booleans()):
+            columns.append(rng.choice(draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=6)), n))
+        else:  # magnitudes from the subnormals to 1e300
+            columns.append(rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n))
+    cuts = draw(st.lists(st.integers(0, n), max_size=3))
+    return np.column_stack(columns).reshape(n, len(CSV_FIELDS)), sorted(cuts)
+
+
+class TestWriter:
+    @settings(max_examples=80, deadline=None)
+    @given(fmt=st.sampled_from(("csv", "json")), table=engine_blocks())
+    @example(fmt="csv", table=(np.tile([[0.0], [-0.0]], (4, len(CSV_FIELDS))), []))
+    def test_column_writer_matches_the_row_writer(self, fmt, table):
+        rows, cuts = table
+        handle = io.StringIO()
+        _stream_rows(fmt, np.split(rows, cuts), handle)
+        text = handle.getvalue()
+        assert text == row_writer_text(fmt, rows)
+        if fmt == "json" and len(rows):
+            records = [dict(zip(CSV_FIELDS, row)) for row in rows.tolist()]
+            assert text == json.dumps(records, indent=2) + "\n"
+
+
+class TestEngineBlocks:
+    @pytest.mark.parametrize(
+        "command, axis1",
+        [("sweep-pure", "p"), ("sweep-mixed", "gamma"), ("max-violation", "p"),
+         ("max-violation", "gamma"), ("simulate", "p"), ("simulate", "gamma")],
+    )
+    def test_block_size_leaves_the_bytes_unchanged(self, command, axis1, tmp_path, monkeypatch):
+        # 3600 points: one default block, four blocks of 1000
+        grid = ["--a1-steps", 3600] if command == "max-violation" else [
+            "--a1-steps", 60, "--theta-steps", 60]
+        for seed, fmt in ((3, "csv"), (11, "json")):
+            argv = [command, "--axis1", axis1, *grid, "--seed", seed, "--format", fmt]
+            assert run_main(argv + ["--out", tmp_path / "default"]) == 0
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_ENGINE_POINTS", 1000)
+                assert run_main(argv + ["--out", tmp_path / "blocks"]) == 0
+            assert (tmp_path / "blocks").read_bytes() == (tmp_path / "default").read_bytes()
+
+    def test_commands_return_the_records_of_every_block(self, monkeypatch):
+        spec = SweepSpec(axis1="p", a1_steps=30, theta_steps=30, gate=GateParams(0.9, 0.8, 0.7),
+                         out=os.devnull)
+        whole = cmd_simulate(spec)
+        monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
+        assert len(whole) == 900
+        assert cmd_simulate(spec) == whole
+
+    def test_memory_is_flat_in_the_grid_size(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_ENGINE_POINTS", 2000)
+        peaks = []
+        for steps in (60, 120):
+            argv = ["simulate", "--a1-steps", steps, "--theta-steps", steps,
+                    "--out", tmp_path / "x.csv"]
+            assert run_main(argv) == 0  # first-call caches stay out of the peak
+            tracemalloc.start()
+            try:
+                assert run_main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    def test_x_channel_is_built_once_and_observable_x_stays_fresh(self):
+        assert _x_channel() is _x_channel()
+        np.testing.assert_array_equal(_x_channel(), observable_x()._channel)
+        assert observable_x() is not observable_x()
+        assert not _x_channel().flags.writeable
 
 
 class TestSweepPure:

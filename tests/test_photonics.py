@@ -347,6 +347,17 @@ class TestSampleCounts:
         np.testing.assert_array_equal(record.counts, [2, 3])
         assert record.counts.dtype == np.int64
 
+    @pytest.mark.parametrize("count", [2.0**63, 1e300, -1e300])
+    def test_counts_beyond_int64_rejected(self, count):
+        with pytest.raises(ValueError, match=r"int64 range \[-2\*\*63, 2\*\*63\)"):
+            CountRecord((-1.0, +1.0), [count, 1.0], 1.0)
+
+    def test_counts_at_the_int64_limits_accepted(self):
+        record = CountRecord((-1.0, +1.0), [2.0**63 - 1024, 1.0], 1.0)
+        assert record.counts[0] == 2**63 - 1024
+        record = CountRecord((-1.0, +1.0), np.array([2**63 - 1, 0]), 1.0)
+        assert record.counts[0] == 2**63 - 1
+
 
 class TestEstimateDeltaV:
     def test_plugin_consistency_with_exact_counts(self):
