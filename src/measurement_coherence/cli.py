@@ -47,6 +47,7 @@ from .photonics import (
     PrepConfig,
     _coincidence_probabilities,
     _estimate_delta_v,
+    _gated_signals,
     _poisson_counts,
 )
 from .qubit import (
@@ -152,6 +153,9 @@ def _grid_rows(
     for extreme in (np.min, np.max):
         _check_family_params(float(extreme(p)), float(extreme(gamma)))
     axis_states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
+    # The coincidence rate depends on the state but not on theta, so a gate
+    # that fails on some grid point fails here, before any block is yielded.
+    _gated_signals(axis_states[:, None], spec.gate, _METER_V)
     theta_effects = _tilted_effects(np.radians(theta_deg))
     rng = np.random.default_rng(spec.seed)
     points = len(axis_values) * len(theta_deg)

@@ -24,7 +24,7 @@ from coincidence counts:
 * Readout: the meter is injected as |H> (gate off: no coupling) or |+>
   (gate on) and is never analyzed, so discarding it realizes the
   measure-and-forget channel on the signal: rho -> K o rho, renormalized,
-  with the 2x2 closed form K of _coincidence_probabilities (identity for
+  with the 2x2 closed form K of _gated_signals (identity for
   |H>, exact dephasing for |+> at the ideal gate).  The signal is
   analyzed by a half-wave plate at a quarter of the analysis angle
   followed by a polarizing splitter; counts per output port are
@@ -45,7 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import PROBABILITY_FLOOR, OutcomeDistribution
-from .qubit import QState, _Value, _born, _family_states, _read_only, _tilted_effects
+from .qubit import (
+    QState,
+    _Value,
+    _born,
+    _check_finite,
+    _family_states,
+    _read_only,
+    _tilted_effects,
+)
 
 UNPERTURBED = "unperturbed"  # meter |H>, gate inactive
 PERTURBED = "perturbed"  # meter |+>, gate active
@@ -77,6 +85,8 @@ class PrepConfig:
     phi: float = 0.0
 
     def __post_init__(self):
+        _check_finite("angle alpha_deg", self.alpha_deg)
+        _check_finite("phase phi", self.phi)
         if not 0.0 <= self.w_plus <= 1.0:
             raise ValueError(f"mixing weight w_plus={self.w_plus} outside [0, 1]")
 
@@ -163,7 +173,9 @@ def prepare_signal(cfg: PrepConfig) -> QState:
     two_alpha = 2.0 * math.radians(cfg.alpha_deg)
     cos, sin = math.cos(two_alpha), math.sin(two_alpha)
     off = cfg.gamma * cos * sin * np.exp(1j * cfg.phi)
-    return QState(_family_states(sin * sin, off))
+    # Hermitian, trace one, and PSD since |off| <= |cos sin|: PrepConfig
+    # has checked every parameter.
+    return QState._trusted(_family_states(sin * sin, off))
 
 
 def _gate_kraus_branches(params: GateParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -237,20 +249,21 @@ _RUNS = (UNPERTURBED, PERTURBED)
 _METER_V = np.array([0.0, 0.5])
 
 
-def _coincidence_probabilities(
-    signals: np.ndarray, params: GateParams, meter_v, effects: np.ndarray
-) -> np.ndarray:
-    """Analyzer probabilities (..., 2) after the post-selected gate, unchecked.
+def _gated_signals(
+    signals: np.ndarray, params: GateParams, meter_v
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gated signals K o rho (entrywise), not yet renormalized, and their
+    coincidence success probabilities tr(K o rho).
 
-    Gating and discarding the meter maps rho to K o rho (entrywise).  After
-    the compensators every branch amplitude is tau = T_H T_V except the
+    Gating and discarding the meter maps rho to K o rho.  After the
+    compensators every branch amplitude is tau = T_H T_V except the
     reflect-reflect one of the two-V term, r = T_H (1 - T_V), so with
     visibility v and meter V weight w
         K = tau^2 J + w [[0, -v tau r], [-v tau r, r^2 - 2 v tau r]],
     J the all-ones matrix; gate_channel is the 4x4 reference it reproduces.
-    signals (..., 2, 2), meter_v (...) and the y(theta) effects
-    (..., 2, 2, 2) from _tilted_effects broadcast together.  Each gated
-    signal is renormalized by its coincidence success probability tr(K o rho).
+    signals (..., 2, 2) and meter_v (...) broadcast.  Raises
+    PostSelectionError when any success probability is at or below
+    SUCCESS_FLOOR.
     """
     tau = params.t_h * params.t_v
     r = params.t_h * (1.0 - params.t_v)
@@ -263,6 +276,20 @@ def _coincidence_probabilities(
         raise PostSelectionError(
             f"coincidence success probability {lowest} vanishes"
         )
+    return gated, success
+
+
+def _coincidence_probabilities(
+    signals: np.ndarray, params: GateParams, meter_v, effects: np.ndarray
+) -> np.ndarray:
+    """Analyzer probabilities (..., 2) after the post-selected gate, unchecked.
+
+    Each signal is gated by _gated_signals and renormalized by its
+    coincidence success probability.  signals (..., 2, 2), meter_v (...)
+    and the y(theta) effects (..., 2, 2, 2) from _tilted_effects broadcast
+    together.
+    """
+    gated, success = _gated_signals(signals, params, meter_v)
     return _born(gated / success[..., None, None], effects)
 
 

@@ -9,6 +9,15 @@ the handful of matrix operations the rest of the library is built on.
 Tolerances follow one convention throughout the library: 1e-12 for
 construction-time invariants (inputs are exact), 1e-10 for quantities
 that accumulate round-off (eigenvalues, matrix square roots).
+
+The public constructors QState, Effect and Observable validate every
+matrix and value they are given.  The family builders make_state,
+observable_y and observable_x (and photonics.prepare_signal) check their
+scalar parameters instead, finiteness included, and then build a value
+that is valid by construction: they skip the matrix checks through the
+private _Value._trusted.  Matrices that carry round-off, such as the
+outputs of luders_channel, post_measurement_state and gate_channel,
+always go through the checked constructors.
 """
 
 from __future__ import annotations
@@ -46,6 +55,19 @@ class _Value:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @classmethod
+    def _trusted(cls, *field_values):
+        """An instance from field values that are valid by construction,
+        without running __post_init__.  Only for values the library has
+        just built from checked parameters; the arrays among them must be
+        fresh, and are made read-only as the checked path leaves them."""
+        value = object.__new__(cls)
+        for f, field_value in zip(fields(cls), field_values):
+            if isinstance(field_value, np.ndarray):
+                _read_only(field_value)
+            object.__setattr__(value, f.name, field_value)
+        return value
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
@@ -199,6 +221,11 @@ def _check_same_dim(a, b) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name}={value} must be finite")
+
+
 def _check_family_params(p: float, gamma: float) -> None:
     """Range check shared by the qubit family and its closed forms."""
     if not 0.0 <= p <= 1.0:
@@ -230,8 +257,10 @@ def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
     state, gamma=1 a pure superposition.
     """
     _check_family_params(p, gamma)
+    _check_finite("phase phi", phi)
     off = math.sqrt(p * (1.0 - p)) * gamma * np.exp(1j * phi)
-    return QState(_family_states(p, off))
+    # Hermitian, trace one, and PSD since |off|^2 <= p(1-p).
+    return QState._trusted(_family_states(p, off))
 
 
 def _tilted_effects(theta) -> np.ndarray:
@@ -258,8 +287,11 @@ def observable_y(theta: float) -> Observable:
     (I -+ Y)/2.  theta=0 recovers the reference H/V observable, and
     theta=pi/2 is the conjugate (Pauli-x) observable.
     """
+    _check_finite("angle theta", theta)
+    # Y is real symmetric with eigenvalues -1 and +1, so the two effects
+    # are projectors that sum to the identity.
     minus, plus = _tilted_effects(theta)
-    return Observable(((-1.0, Effect(minus)), (+1.0, Effect(plus))))
+    return Observable._trusted(((-1.0, Effect._trusted(minus)), (+1.0, Effect._trusted(plus))))
 
 
 def observable_x() -> Observable:

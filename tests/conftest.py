@@ -1,5 +1,7 @@
 """Shared helpers: reproducible RNGs and random quantum objects."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,28 @@ def diagonal_povm(rng: np.random.Generator, dim: int = 2) -> Observable:
     first = Effect(np.diag(diag).astype(complex))
     second = Effect(np.eye(dim) - np.diag(diag))
     return Observable(((-1.0, first), (+1.0, second)))
+
+
+def _matrices(value) -> list[np.ndarray]:
+    if isinstance(value, QState):
+        return [value.matrix]
+    return [effect.matrix for effect in value.effects]
+
+
+def assert_passes_public_checks(value) -> None:
+    """A QState or Observable a builder made without the matrix checks
+    holds read-only arrays, passes its public constructor with the same
+    matrices, and survives a pickle round trip, both bit for bit."""
+    if isinstance(value, QState):
+        rebuilt = QState(value.matrix)
+    else:
+        rebuilt = Observable(tuple((v, Effect(e.matrix)) for v, e in value.outcomes))
+    for other in (rebuilt, pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value)
+        if isinstance(value, Observable):
+            assert other.values == value.values
+        for built, checked in zip(_matrices(value), _matrices(other), strict=True):
+            assert built.flags.writeable is False
+            assert checked.flags.writeable is False
+            assert (built.dtype, built.shape) == (checked.dtype, checked.shape)
+            assert built.tobytes() == checked.tobytes()

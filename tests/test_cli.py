@@ -393,6 +393,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: coincidence success probability")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_gate_failing_past_the_first_block_leaves_no_file(self, tmp_path, capsys):
+        # The coincidence rate falls with p: it passes the floor on the
+        # first two engine blocks of this grid and vanishes on the third.
+        code = run_main(["simulate", "--th", 2.7386e-7, "--tv", 0.4, "--a1-steps", 300,
+                         "--theta-steps", 300, "--out", tmp_path / "x.csv"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: coincidence success probability")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_empty_count_record_is_a_runtime_error(self, tmp_path, capsys):
         code = run_main(["simulate", "--flux", 1e-9, "--out", tmp_path / "x.csv"])
         assert code == 1

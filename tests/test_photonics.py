@@ -30,7 +30,9 @@ from measurement_coherence import (
     sample_counts,
 )
 from measurement_coherence.photonics import _poisson_counts
-from conftest import random_density
+from conftest import assert_passes_public_checks, random_density
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 IDEAL = GateParams()
 
@@ -120,8 +122,21 @@ class TestPrepareSignal:
         np.testing.assert_allclose(prepare_signal(cfg).matrix, expected.matrix, atol=1e-12)
 
     def test_non_finite_angle_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            prepare_signal(PrepConfig(alpha_deg=math.nan))
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                prepare_signal(PrepConfig(alpha_deg=value))
+            with pytest.raises(ValueError, match="finite"):
+                prepare_signal(PrepConfig(alpha_deg=10.0, phi=value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=FINITE, w_plus=st.floats(0.0, 1.0), phi=FINITE)
+    @example(alpha=0.0, w_plus=1.0, phi=0.0)
+    @example(alpha=45.0, w_plus=0.0, phi=0.0)
+    @example(alpha=22.5, w_plus=1.0, phi=1e6 + 0.3)
+    @example(alpha=1e6 + 0.3, w_plus=0.0, phi=-1e6)
+    @example(alpha=-1.7e308, w_plus=0.5, phi=1.7e308)
+    def test_prepared_signal_passes_the_public_checks(self, alpha, w_plus, phi):
+        assert_passes_public_checks(prepare_signal(PrepConfig(alpha, w_plus, phi)))
 
 
 class TestGateChannel:

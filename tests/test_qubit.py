@@ -6,6 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from measurement_coherence import (
     Effect,
@@ -21,7 +22,9 @@ from measurement_coherence import (
     trace_norm_distance,
     variance,
 )
-from conftest import random_density
+from conftest import assert_passes_public_checks, random_density
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 KET_H = np.array([1.0, 0.0])
 KET_PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
@@ -301,13 +304,47 @@ class TestValidation:
             lambda: make_state(0.5, 1.0, phi=np.nan),
             lambda: Observable(((np.nan, Effect(np.diag([1.0, 0.0]))),
                                 (1.0, Effect(np.diag([0.0, 1.0]))))),
+            lambda: observable_y(np.inf),
+            lambda: observable_y(-np.inf),
+            lambda: make_state(0.5, 1.0, phi=np.inf),
+            lambda: make_state(0.5, 1.0, phi=-np.inf),
         ],
         ids=["state-nan", "effect-nan", "observable-y-nan",
-             "make-state-phase-nan", "observable-value-nan"],
+             "make-state-phase-nan", "observable-value-nan",
+             "observable-y-inf", "observable-y-minus-inf",
+             "make-state-phase-inf", "make-state-phase-minus-inf"],
     )
     def test_non_finite_input_rejected(self, build):
         with pytest.raises(ValueError, match="finite"):
             build()
+
+
+class TestTrustedBuilders:
+    """make_state and observable_y build their values without the matrix
+    checks; every value they return must pass them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), gamma=st.floats(-1.0, 1.0), phi=FINITE)
+    @example(p=0.0, gamma=1.0, phi=0.0)
+    @example(p=1.0, gamma=-1.0, phi=math.pi)
+    @example(p=0.5, gamma=1.0, phi=1e6 + 0.3)
+    @example(p=0.5, gamma=-1.0, phi=-1e6)
+    @example(p=5e-324, gamma=1.0, phi=1.7e308)
+    def test_family_state(self, p, gamma, phi):
+        assert_passes_public_checks(make_state(p, gamma, phi))
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=FINITE)
+    @example(theta=0.0)
+    @example(theta=math.pi / 2)
+    @example(theta=1e6 + 0.3)
+    @example(theta=-1e6)
+    @example(theta=1.7e308)
+    def test_tilted_observable(self, theta):
+        assert_passes_public_checks(observable_y(theta))
+
+    def test_reference_observable(self):
+        assert_passes_public_checks(observable_x())
 
 
 class TestReadOnlyMatrices:
