@@ -17,13 +17,17 @@ reads the fixed value of the axis it sweeps (--gamma with --axis1 gamma,
 [-1, 1] that reaches every state of the family.
 
 Angles are accepted in degrees and converted internally.  Each sweep
-computes its grid on stacked 2x2 arrays in engine blocks of up to 16384
-points, and writes each block as it finishes, so memory does not grow
-with the grid.  The writer formats each distinct value of a column once
-per block when the column repeats its values.  Sampling uses one
-generator per sweep, seeded by --seed and drawn in grid order, so output
-is byte-identical for identical arguments and does not depend on the
-block size.
+computes its grid in engine blocks of up to 16384 points, each a
+rectangle of the grid (whole theta rows, or a piece of one longer row),
+and writes each block as it finishes.  What depends on the state alone,
+the dephased state and the squared trace distance, is computed once per
+axis value of a block and broadcast over theta.  The gate is applied
+once per sweep, to every axis state before the first block, and that
+application is its check.  The writer formats each distinct value of a
+column once per block when the column repeats its values.  Sampling uses
+one generator per sweep, seeded by --seed and drawn in grid order, so
+output is byte-identical for identical arguments and does not depend on
+the block size.
 """
 
 from __future__ import annotations
@@ -45,12 +49,12 @@ from .photonics import (
     GateParams,
     MEASURED_GATE,
     PrepConfig,
-    _coincidence_probabilities,
     _estimate_delta_v,
     _gated_signals,
     _poisson_counts,
 )
 from .qubit import (
+    _born,
     _check_family_params,
     _family_states,
     _tilted_effects,
@@ -139,10 +143,13 @@ def _grid_rows(
     """Every grid point of a sweep, one row of CSV_FIELDS per point, in
     blocks of at most _ENGINE_POINTS rows.
 
-    Points run over the axis1 values, then theta_deg (degrees).  Each block
-    gates and analyzes both meter configurations for its points together.
-    One generator seeded by spec.seed draws the counts block after block
-    in grid order, which gives the counts of one draw over the whole grid.
+    Points run over the axis1 values, then theta_deg (degrees).  A block is
+    a rectangle of the grid: whole theta rows, or one piece of a theta row
+    longer than _ENGINE_POINTS.  Everything that depends on the state
+    alone is computed once per axis value of a block and broadcast over
+    theta.  One
+    generator seeded by spec.seed draws the counts block after block in
+    grid order, which gives the counts of one draw over the whole grid.
     """
     axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
     if spec.axis1 == "p":
@@ -153,35 +160,35 @@ def _grid_rows(
     for extreme in (np.min, np.max):
         _check_family_params(float(extreme(p)), float(extreme(gamma)))
     axis_states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
-    # The coincidence rate depends on the state but not on theta, so a gate
-    # that fails on some grid point fails here, before any block is yielded.
-    _gated_signals(axis_states[:, None], spec.gate, _METER_V)
+    # The gate depends on the state but not on theta: it is applied here
+    # once per (axis value, meter mode), which is also its check, so a gate
+    # that fails on some grid point fails before any block is yielded.
+    signals, success = _gated_signals(axis_states[:, None], spec.gate, _METER_V)
+    signals /= success[..., None, None]
     theta_effects = _tilted_effects(np.radians(theta_deg))
     rng = np.random.default_rng(spec.seed)
-    points = len(axis_values) * len(theta_deg)
-    for start in range(0, points, _ENGINE_POINTS):
-        row, column = np.divmod(
-            np.arange(start, min(start + _ENGINE_POINTS, points)), len(theta_deg)
-        )
-        states = axis_states[row]
-        effects = theta_effects[column]
+    steps = len(theta_deg)
+    rows, width = max(_ENGINE_POINTS // steps, 1), min(steps, _ENGINE_POINTS)
+    for a, t in itertools.product(range(0, len(axis_values), rows), range(0, steps, width)):
+        axis, cut = slice(a, a + rows), slice(t, t + width)
+        effects = theta_effects[None, cut]
         v_direct, v_dephased, trdist_sq = _variance_law(
-            states, _x_channel(), effects, _OUTCOME_VALUES
+            axis_states[axis, None], _x_channel(), effects, _OUTCOME_VALUES
         )
-        probabilities = _checked_probabilities(  # (point, meter mode, outcome)
-            _coincidence_probabilities(states[:, None], spec.gate, _METER_V, effects[:, None])
+        probabilities = _checked_probabilities(  # (axis, theta, meter mode, outcome)
+            _born(signals[axis, None], effects[:, :, None])
         )
         if gate_model_analytic:  # the gate model's own noise-free prediction
             v_gated = _variances(probabilities, _OUTCOME_VALUES)
-            analytic = v_gated[:, 1] - v_gated[:, 0]
+            analytic = v_gated[..., 1] - v_gated[..., 0]
         else:
             analytic = v_dephased - v_direct
         counts = _poisson_counts(rng, spec.flux, probabilities)
         sampled, std_err = _estimate_delta_v(counts)
         z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
-        yield np.column_stack(
-            (axis_values[row], theta_deg[column], analytic, sampled, std_err, z, trdist_sq)
-        )
+        columns = (axis_values[axis, None], theta_deg[cut], analytic, sampled, std_err, z,
+                   trdist_sq)
+        yield np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(CSV_FIELDS))
 
 
 def _theta_grid(spec: SweepSpec) -> np.ndarray:

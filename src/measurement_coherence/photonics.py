@@ -239,6 +239,7 @@ def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
     the -1 outcome of the tilted observable y(theta), so the port
     probabilities are the Born rule of the y(theta) effects.
     """
+    _check_finite("angle theta", theta)
     return OutcomeDistribution((-1.0, +1.0), _born(signal.matrix, _tilted_effects(theta)))
 
 
@@ -279,20 +280,6 @@ def _gated_signals(
     return gated, success
 
 
-def _coincidence_probabilities(
-    signals: np.ndarray, params: GateParams, meter_v, effects: np.ndarray
-) -> np.ndarray:
-    """Analyzer probabilities (..., 2) after the post-selected gate, unchecked.
-
-    Each signal is gated by _gated_signals and renormalized by its
-    coincidence success probability.  signals (..., 2, 2), meter_v (...)
-    and the y(theta) effects (..., 2, 2, 2) from _tilted_effects broadcast
-    together.
-    """
-    gated, success = _gated_signals(signals, params, meter_v)
-    return _born(gated / success[..., None, None], effects)
-
-
 def run_setting(
     cfg: PrepConfig, params: GateParams, theta: float, mode: str
 ) -> OutcomeDistribution:
@@ -300,18 +287,15 @@ def run_setting(
 
     mode selects the meter injection: UNPERTURBED (|H>, no coupling) or
     PERTURBED (|+>, gate active).  The signal passes the post-selected
-    gate of _coincidence_probabilities, the meter is discarded unanalyzed,
-    and the signal is read out at analysis angle theta.
+    gate of _gated_signals and is renormalized, the meter is discarded
+    unanalyzed, and the signal is read out at analysis angle theta.
     """
     if mode not in _RUNS:
         raise ValueError(f"unknown mode {mode!r}")
-    return OutcomeDistribution(
-        (-1.0, +1.0),
-        _coincidence_probabilities(
-            prepare_signal(cfg).matrix, params, _METER_V[_RUNS.index(mode)],
-            _tilted_effects(theta),
-        ),
-    )
+    _check_finite("angle theta", theta)
+    meter_v = _METER_V[_RUNS.index(mode)]
+    gated, success = _gated_signals(prepare_signal(cfg).matrix, params, meter_v)
+    return OutcomeDistribution((-1.0, +1.0), _born(gated / success, _tilted_effects(theta)))
 
 
 def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -> np.ndarray:

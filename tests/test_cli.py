@@ -23,7 +23,7 @@ from measurement_coherence import (
     observable_x,
     observable_y,
 )
-from measurement_coherence import cli
+from measurement_coherence import cli, photonics
 from measurement_coherence.cli import (
     _BLOCK_ROWS,
     _FLAGS,
@@ -192,10 +192,12 @@ class TestEngineBlocks:
         for seed, fmt in ((3, "csv"), (11, "json")):
             argv = [command, "--axis1", axis1, *grid, "--seed", seed, "--format", fmt]
             assert run_main(argv + ["--out", tmp_path / "default"]) == 0
-            with monkeypatch.context() as patch:
-                patch.setattr(cli, "_ENGINE_POINTS", 1000)
-                assert run_main(argv + ["--out", tmp_path / "blocks"]) == 0
-            assert (tmp_path / "blocks").read_bytes() == (tmp_path / "default").read_bytes()
+            # 7 points split each 60-point theta row into unequal pieces
+            for points in (1000, 7):
+                with monkeypatch.context() as patch:
+                    patch.setattr(cli, "_ENGINE_POINTS", points)
+                    assert run_main(argv + ["--out", tmp_path / "blocks"]) == 0
+                assert (tmp_path / "blocks").read_bytes() == (tmp_path / "default").read_bytes()
 
     def test_commands_return_the_records_of_every_block(self, monkeypatch):
         spec = SweepSpec(axis1="p", a1_steps=30, theta_steps=30, gate=GateParams(0.9, 0.8, 0.7),
@@ -204,6 +206,22 @@ class TestEngineBlocks:
         monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
         assert len(whole) == 900
         assert cmd_simulate(spec) == whole
+
+    def test_the_gate_runs_once_per_sweep(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gated_signals(*args)
+
+        gated_signals = cli._gated_signals
+        monkeypatch.setattr(cli, "_gated_signals", counted)
+        monkeypatch.setattr(photonics, "_gated_signals", counted)
+        monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
+        spec = SweepSpec(axis1="p", a1_steps=30, theta_steps=30, gate=GateParams(0.9, 0.8, 0.7),
+                         out=os.devnull)
+        assert len(cmd_simulate(spec)) == 900
+        assert len(calls) == 1
 
     def test_memory_is_flat_in_the_grid_size(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_ENGINE_POINTS", 2000)

@@ -226,6 +226,11 @@ class TestAnalyzer:
         got = analyzer_distribution(QState(rho), theta)
         np.testing.assert_allclose(got.probabilities, ports, rtol=0.0, atol=1e-12)
 
+    def test_non_finite_angle_rejected(self):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                analyzer_distribution(make_state(0.3, 0.9), value)
+
 
 class TestRunSetting:
     def test_perturbed_mode_realizes_the_dephasing_channel(self):
@@ -252,6 +257,12 @@ class TestRunSetting:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             run_setting(PrepConfig(alpha_deg=12.0), IDEAL, 0.0, "sideways")
+
+    def test_non_finite_angle_rejected(self):
+        for value in (math.nan, math.inf, -math.inf):
+            for mode in (UNPERTURBED, PERTURBED):
+                with pytest.raises(ValueError, match="finite"):
+                    run_setting(PrepConfig(alpha_deg=12.0), MEASURED_GATE, value, mode)
 
     def test_lost_visibility_leaves_residual_coherence(self):
         # with no two-photon interference the gate no longer dephases the
