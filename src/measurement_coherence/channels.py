@@ -144,8 +144,9 @@ def luders_channel(state: QState, obs: Observable) -> QState:
 
 def is_incoherent(state: QState, obs: Observable) -> bool:
     """True when discarding an obs measurement leaves the state unchanged."""
-    dephased = luders_channel(state, obs)
-    return float(np.max(np.abs(dephased.matrix - state.matrix))) <= ROUNDOFF_TOL
+    _check_same_dim(state, obs)
+    dephased = _luders(state.matrix, obs._channel)
+    return float(np.max(np.abs(dephased - state.matrix))) <= ROUNDOFF_TOL
 
 
 def sequential_joint(

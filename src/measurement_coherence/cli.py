@@ -20,14 +20,13 @@ Angles are accepted in degrees and converted internally.  Each sweep
 computes its grid in engine blocks of up to 16384 points, each a
 rectangle of the grid (whole theta rows, or a piece of one longer row),
 and writes each block as it finishes.  What depends on the state alone,
-the dephased state and the squared trace distance, is computed once per
-axis value of a block and broadcast over theta.  The gate is applied
-once per sweep, to every axis state before the first block, and that
-application is its check.  The writer formats each distinct value of a
-column once per block when the column repeats its values.  Sampling uses
-one generator per sweep, seeded by --seed and drawn in grid order, so
-output is byte-identical for identical arguments and does not depend on
-the block size.
+the dephased state, the squared trace distance and the gated signals, is
+computed once per sweep, for every axis value before the first block,
+and broadcast over theta.  Applying the gate there is also its check.
+The writer formats each distinct value of a column once per block when
+the column repeats its values.  Sampling uses one generator per sweep,
+seeded by --seed and drawn in grid order, so output is byte-identical
+for identical arguments and does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .channels import _checked_probabilities
-from .criterion import _variance_law
+from .criterion import _dephased_pair
 from .photonics import (
     _METER_V,
     GateParams,
@@ -55,9 +54,9 @@ from .photonics import (
 )
 from .qubit import (
     _born,
-    _check_family_params,
     _family_states,
     _tilted_effects,
+    _trace_norm,
     _variances,
     observable_x,
 )
@@ -146,8 +145,7 @@ def _grid_rows(
     Points run over the axis1 values, then theta_deg (degrees).  A block is
     a rectangle of the grid: whole theta rows, or one piece of a theta row
     longer than _ENGINE_POINTS.  Everything that depends on the state
-    alone is computed once per axis value of a block and broadcast over
-    theta.  One
+    alone is computed once per sweep and broadcast over theta.  One
     generator seeded by spec.seed draws the counts block after block in
     grid order, which gives the counts of one draw over the whole grid.
     """
@@ -157,13 +155,14 @@ def _grid_rows(
     else:
         p = np.full_like(axis_values, PrepConfig(spec.alpha_deg).p)
         gamma = axis_values
-    for extreme in (np.min, np.max):
-        _check_family_params(float(extreme(p)), float(extreme(gamma)))
-    axis_states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
+    # SweepSpec has range-checked p and gamma; pair[0] holds the axis states.
+    pair = _dephased_pair(_family_states(p, np.sqrt(p * (1.0 - p)) * gamma), _x_channel())
+    distance = _trace_norm(pair[0] - pair[1])
+    trdist_sq = distance * distance
     # The gate depends on the state but not on theta: it is applied here
     # once per (axis value, meter mode), which is also its check, so a gate
     # that fails on some grid point fails before any block is yielded.
-    signals, success = _gated_signals(axis_states[:, None], spec.gate, _METER_V)
+    signals, success = _gated_signals(pair[0, :, None], spec.gate, _METER_V)
     signals /= success[..., None, None]
     theta_effects = _tilted_effects(np.radians(theta_deg))
     rng = np.random.default_rng(spec.seed)
@@ -172,9 +171,6 @@ def _grid_rows(
     for a, t in itertools.product(range(0, len(axis_values), rows), range(0, steps, width)):
         axis, cut = slice(a, a + rows), slice(t, t + width)
         effects = theta_effects[None, cut]
-        v_direct, v_dephased, trdist_sq = _variance_law(
-            axis_states[axis, None], _x_channel(), effects, _OUTCOME_VALUES
-        )
         probabilities = _checked_probabilities(  # (axis, theta, meter mode, outcome)
             _born(signals[axis, None], effects[:, :, None])
         )
@@ -182,12 +178,14 @@ def _grid_rows(
             v_gated = _variances(probabilities, _OUTCOME_VALUES)
             analytic = v_gated[..., 1] - v_gated[..., 0]
         else:
+            runs = _born(pair[:, axis, None], effects)  # (run, axis, theta, outcome)
+            v_direct, v_dephased = _variances(runs, _OUTCOME_VALUES)
             analytic = v_dephased - v_direct
         counts = _poisson_counts(rng, spec.flux, probabilities)
         sampled, std_err = _estimate_delta_v(counts)
         z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
         columns = (axis_values[axis, None], theta_deg[cut], analytic, sampled, std_err, z,
-                   trdist_sq)
+                   trdist_sq[axis, None])
         yield np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(CSV_FIELDS))
 
 

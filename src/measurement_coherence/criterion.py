@@ -26,11 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    PROBABILITY_FLOOR,
     JointDistribution,
-    OutcomeDistribution,
+    _checked_probabilities,
     _luders,
-    luders_channel,
-    outcome_distribution,
     measurement_coherence_witness,
 )
 from .qubit import (
@@ -39,10 +38,9 @@ from .qubit import (
     _born,
     _check_family_params,
     _check_same_dim,
+    _trace_norm,
     _variances,
 )
-
-MASS_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -61,41 +59,34 @@ class CriterionReport:
             raise ValueError("delta_v is not the difference of the variances")
 
 
+def _dephased_pair(states: np.ndarray, first_channel: np.ndarray) -> np.ndarray:
+    """The direct and dephased runs (rho, rho') of stacked states (..., d, d),
+    stacked with the run axis first, shape (2, ..., d, d).
+
+    first_channel is the first measurement's Lueders matrix
+    (Observable._channel).  The states are trusted: callers validate them
+    at the API boundary, and rho' is an intermediate that is not re-checked.
+    """
+    return np.array((states, _luders(states, first_channel)))
+
+
 def _direct_and_dephased(
     state: QState, first: Observable, second: Observable
-) -> tuple[OutcomeDistribution, OutcomeDistribution]:
-    """P(y) measured directly and P'(y) after measuring first unread."""
+) -> np.ndarray:
+    """P(y) measured directly and P'(y) after measuring first unread,
+    checked and stacked to shape (2, Y)."""
     _check_same_dim(state, first)
     _check_same_dim(state, second)
-    direct = outcome_distribution(state, second)
-    return direct, outcome_distribution(luders_channel(state, first), second)
+    pair = _dephased_pair(state.matrix, first._channel)
+    return _checked_probabilities(_born(pair, second._matrices))
 
 
 def total_probability_residual(
     state: QState, first: Observable, second: Observable
 ) -> float:
     """Largest violation max_y |P(y) - P'(y)| of the total-probability law."""
-    direct, perturbed = _direct_and_dephased(state, first, second)
-    return float(np.max(np.abs(direct.probabilities - perturbed.probabilities)))
-
-
-def _variance_law(
-    states: np.ndarray, first_channel: np.ndarray, second_effects: np.ndarray,
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V[y], V'[y] and ||rho - rho'||_1^2 for stacked states (..., d, d).
-
-    first_channel is the first measurement's Lueders matrix
-    (Observable._channel, shared by every state); second_effects, shape
-    (..., Y, d, d), pair with the outcome values (Y,) and broadcast
-    against the states.  The states are trusted: callers validate them at
-    the API boundary.
-    """
-    dephased = _luders(states, first_channel)
-    probabilities = _born(np.array((states, dephased)), second_effects)
-    v_direct, v_dephased = _variances(probabilities, values)
-    distance = np.abs(np.linalg.eigvalsh(states - dephased)).sum(axis=-1)
-    return v_direct, v_dephased, distance * distance
+    direct, dephased = _direct_and_dephased(state, first, second)
+    return float(np.max(np.abs(direct - dephased)))
 
 
 def delta_v(state: QState, first: Observable, second: Observable) -> CriterionReport:
@@ -109,12 +100,11 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     """
     _check_same_dim(state, first)
     _check_same_dim(state, second)
-    v_direct, v_dephased, trace_norm_sq = (
-        float(x)
-        for x in _variance_law(
-            state.matrix, first._channel, second._matrices, second._values
-        )
+    pair = _dephased_pair(state.matrix, first._channel)
+    v_direct, v_dephased = map(
+        float, _variances(_born(pair, second._matrices), second._values)
     )
+    distance = float(_trace_norm(pair[0] - pair[1]))
     witness = (
         measurement_coherence_witness(second, first)
         if first.is_sharp()
@@ -124,7 +114,7 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
         v_unperturbed=v_direct,
         v_perturbed=v_dephased,
         delta_v=v_dephased - v_direct,
-        trace_norm_sq=trace_norm_sq,
+        trace_norm_sq=distance * distance,
         witness=witness,
     )
 
@@ -159,10 +149,10 @@ def law_of_total_variance_decomposition(
 
     Returns (E_x[V[y|x]], V_x[E[y|x]]).  Their sum reproduces the variance
     of the y-marginal by construction; x outcomes with mass at most
-    MASS_FLOOR have no defined conditional and are masked out.
+    PROBABILITY_FLOOR have no defined conditional and are masked out.
     """
     x_mass = joint.table.sum(axis=1)
-    live = x_mass > MASS_FLOOR
+    live = x_mass > PROBABILITY_FLOOR
     masses = x_mass[live]
     conditionals = joint.table[live] / masses[:, None]
     y_values = np.asarray(joint.y_values)
@@ -173,28 +163,21 @@ def law_of_total_variance_decomposition(
     return expected_cond_var, var_of_means
 
 
-def _central_moment(dist: OutcomeDistribution, k: int) -> float:
-    mean = dist.mean()
-    deviations = np.asarray(dist.values) - mean
-    return float(np.dot(deviations**k, dist.probabilities))
-
-
 def moment_difference(
     state: QState, first: Observable, second: Observable, k: int
 ) -> float:
     """k-th central moment of P'(y) minus that of P(y); k=2 is delta_v."""
-    if k < 2:
-        raise ValueError(f"moment order k={k} must be at least 2")
-    direct, perturbed = _direct_and_dephased(state, first, second)
-    return _central_moment(perturbed, k) - _central_moment(direct, k)
-
-
-def _shannon_entropy(dist: OutcomeDistribution) -> float:
-    probs = dist.probabilities[dist.probabilities > 0.0]
-    return float(-np.sum(probs * np.log(probs)))
+    if not (float(k).is_integer() and k >= 2):
+        raise ValueError(f"moment order k={k} must be a whole number of at least 2")
+    probabilities = _direct_and_dephased(state, first, second)
+    deviations = second._values - (probabilities @ second._values)[:, None]
+    direct, dephased = np.einsum("ry,ry->r", deviations**k, probabilities)
+    return float(dephased - direct)
 
 
 def entropy_difference(state: QState, first: Observable, second: Observable) -> float:
     """Shannon entropy (natural log) of P'(y) minus that of P(y)."""
-    direct, perturbed = _direct_and_dephased(state, first, second)
-    return _shannon_entropy(perturbed) - _shannon_entropy(direct)
+    probabilities = _direct_and_dephased(state, first, second)
+    logs = np.log(probabilities, out=np.zeros_like(probabilities), where=probabilities > 0.0)
+    direct, dephased = -np.einsum("ry,ry->r", probabilities, logs)
+    return float(dephased - direct)

@@ -58,8 +58,6 @@ from .qubit import (
 UNPERTURBED = "unperturbed"  # meter |H>, gate inactive
 PERTURBED = "perturbed"  # meter |+>, gate active
 
-SUCCESS_FLOOR = 1e-14
-
 
 class PostSelectionError(ValueError):
     """Coincidence post-selection has (numerically) zero success probability."""
@@ -225,7 +223,7 @@ def gate_channel(joint_in: QState, params: GateParams) -> tuple[QState, float]:
         sandwich(transmit) + sandwich(reflect)
     )
     success = float(np.trace(out).real)
-    if success <= SUCCESS_FLOOR:
+    if success <= PROBABILITY_FLOOR:
         raise PostSelectionError(
             f"coincidence success probability {success} vanishes"
         )
@@ -264,7 +262,7 @@ def _gated_signals(
     J the all-ones matrix; gate_channel is the 4x4 reference it reproduces.
     signals (..., 2, 2) and meter_v (...) broadcast.  Raises
     PostSelectionError when any success probability is at or below
-    SUCCESS_FLOOR.
+    PROBABILITY_FLOOR.
     """
     tau = params.t_h * params.t_v
     r = params.t_h * (1.0 - params.t_v)
@@ -273,7 +271,7 @@ def _gated_signals(
     gated = (tau * tau + np.asarray(meter_v)[..., None, None] * coupling) * signals
     success = np.trace(gated, axis1=-2, axis2=-1).real
     lowest = success.min()
-    if lowest <= SUCCESS_FLOOR:
+    if lowest <= PROBABILITY_FLOOR:
         raise PostSelectionError(
             f"coincidence success probability {lowest} vanishes"
         )

@@ -17,7 +17,10 @@ scalar parameters instead, finiteness included, and then build a value
 that is valid by construction: they skip the matrix checks through the
 private _Value._trusted.  Matrices that carry round-off, such as the
 outputs of luders_channel, post_measurement_state and gate_channel,
-always go through the checked constructors.
+always go through the checked constructors.  Intermediates that never
+leave a function, such as the dephased state rho' inside delta_v and the
+P/P' comparisons of the criterion module, are trusted arrays; what those
+functions report is checked.
 """
 
 from __future__ import annotations
@@ -138,6 +141,11 @@ class Observable(_Value):
     def __post_init__(self):
         outcomes = tuple((float(v), e) for v, e in self.outcomes)
         object.__setattr__(self, "outcomes", outcomes)
+        if not outcomes:
+            raise ValueError("observable has no outcomes")
+        dims = sorted({e.dim for _, e in outcomes})
+        if len(dims) > 1:
+            raise ValueError(f"effects have mismatched dimensions {dims}")
         values = [v for v, _ in outcomes]
         if not all(map(math.isfinite, values)):
             raise ValueError(f"outcome values must be finite, got {values}")
@@ -333,6 +341,11 @@ def variance(state: QState, obs: Observable) -> float:
     return float(_variances(probabilities, obs._values))
 
 
+def _trace_norm(differences: np.ndarray) -> np.ndarray:
+    """Trace norms sum |eigenvalues| of stacked Hermitian matrices (..., d, d)."""
+    return np.abs(np.linalg.eigvalsh(differences)).sum(axis=-1)
+
+
 def trace_norm_distance(a: QState, b: QState) -> float:
     """Un-halved trace distance ||a - b||_1 (sum of |eigenvalues| of a - b).
 
@@ -341,8 +354,7 @@ def trace_norm_distance(a: QState, b: QState) -> float:
     conventional metric with the 1/2 factor is half_trace_norm_distance.
     """
     _check_same_dim(a, b)
-    eigenvalues = np.linalg.eigvalsh(a.matrix - b.matrix)
-    return float(np.sum(np.abs(eigenvalues)))
+    return float(_trace_norm(a.matrix - b.matrix))
 
 
 def half_trace_norm_distance(a: QState, b: QState) -> float:

@@ -267,6 +267,18 @@ class TestMomentDifference:
         with pytest.raises(ValueError, match="k="):
             moment_difference(make_state(0.5, 1.0), observable_x(), observable_y(1.0), k=1)
 
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    def test_fractional_or_non_finite_order_rejected(self, k):
+        with pytest.raises(ValueError, match="k="):
+            moment_difference(make_state(0.3, 0.8), observable_x(), observable_y(1.0), k)
+
+    @pytest.mark.parametrize("k", [3.0, np.int64(4)])
+    def test_whole_order_of_another_type_is_accepted(self, k):
+        state, first, second = make_state(0.3, 0.8), observable_x(), observable_y(1.0)
+        assert moment_difference(state, first, second, k) == moment_difference(
+            state, first, second, int(k)
+        )
+
 
 class TestEntropyDifference:
     def test_commuting_pair_vanishes(self, rng):

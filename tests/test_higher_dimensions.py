@@ -11,7 +11,11 @@ from measurement_coherence import (
     Observable,
     commutator_norm,
     delta_v,
+    entropy_difference,
     luders_channel,
+    moment_difference,
+    outcome_distribution,
+    total_probability_residual,
 )
 from conftest import random_density, random_pure
 
@@ -101,3 +105,32 @@ def test_no_violation_when_the_second_commutes_with_every_first_effect(dim, seed
             assert commutator_norm(eff_x, eff_y) <= TOL
     report = delta_v(random_state(rng, dim), first, second)
     assert abs(report.delta_v) <= TOL
+
+
+def central_moment(dist, k: int) -> float:
+    deviations = np.array(dist.values) - dist.mean()
+    return float(np.sum(deviations**k * dist.probabilities))
+
+
+def shannon_entropy(dist) -> float:
+    probs = dist.probabilities[dist.probabilities > 0.0]
+    return float(-np.sum(probs * np.log(probs)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=dims, seed=seeds)
+def test_comparisons_match_the_object_path(dim, seed):
+    rng = np.random.default_rng(seed)
+    first, second = random_povm(rng, dim), random_povm(rng, dim)
+    state = random_density(rng, dim)
+    direct = outcome_distribution(state, second)
+    dephased = outcome_distribution(luders_channel(state, first), second)
+    residual = np.max(np.abs(direct.probabilities - dephased.probabilities))
+    assert abs(total_probability_residual(state, first, second) - residual) <= TOL
+    for k in (2, 3, 4):
+        expected = central_moment(dephased, k) - central_moment(direct, k)
+        assert abs(moment_difference(state, first, second, k) - expected) <= TOL
+    expected = shannon_entropy(dephased) - shannon_entropy(direct)
+    assert abs(entropy_difference(state, first, second) - expected) <= TOL
+    report = delta_v(state, first, second)
+    assert abs(moment_difference(state, first, second, 2) - report.delta_v) <= TOL

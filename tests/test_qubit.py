@@ -295,6 +295,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="distinct"):
             Observable(((1.0, half), (1.0, half)))
 
+    def test_observable_requires_an_outcome(self):
+        with pytest.raises(ValueError, match="no outcomes"):
+            Observable(())
+
+    def test_observable_requires_effects_of_one_dimension(self):
+        with pytest.raises(ValueError, match=r"mismatched dimensions \[2, 3\]"):
+            Observable(((0.0, Effect(np.eye(2))), (1.0, Effect(np.zeros((3, 3))))))
+
     @pytest.mark.parametrize(
         "build",
         [
