@@ -16,6 +16,14 @@ noncommuting measurements the two variances differ.  The violation
 is the figure of merit implemented here, together with its closed forms
 for the qubit family, the trace-distance identity at maximal tilt, and
 higher-moment / entropy variants of the same comparison.
+
+Each variance needs only two expectations, <B> and <A>, of the moment
+operators B = sum_y y E_y and A = sum_y y^2 E_y.  The first measurement's
+Lueders channel Phi is self-dual, so the dephased expectations are
+tr(rho' X) = tr(rho Phi(X)).  delta_v therefore builds B, A, Phi(B) and
+Phi(A) once per (first, second) pair, keeps them on second, and per
+state takes one Born pass over the four and combines the four numbers.
+A pair used for a single state pays that build on the call.
 """
 
 from __future__ import annotations
@@ -33,11 +41,13 @@ from .channels import (
     measurement_coherence_witness,
 )
 from .qubit import (
+    CONSTRUCTION_TOL,
     Observable,
     QState,
     _born,
     _check_family_params,
     _check_same_dim,
+    _read_only,
     _trace_norm,
     _variances,
 )
@@ -89,6 +99,42 @@ def total_probability_residual(
     return float(np.max(np.abs(direct - dephased)))
 
 
+def _moment_operators(
+    values: np.ndarray, effects: np.ndarray, first_channel: np.ndarray
+) -> np.ndarray:
+    """B = sum_y y E_y, A = sum_y y^2 E_y, Phi(B) and Phi(A), stacked
+    read-only to shape (..., 4, d, d).
+
+    values has shape (..., Y) and effects (..., Y, d, d); first_channel is
+    the first measurement's Lueders matrix Phi (Observable._channel).
+    Phi is self-dual, tr(Phi(rho) X) = tr(rho Phi(X)), so the Born
+    expectations of these four operators on rho are the first and second
+    moments of y on rho and on rho'.  Raises ValueError when the outcome
+    values are so large that the operators, or a Born expectation of
+    them, would overflow.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.array((values, values * values))  # (2, ..., Y)
+        moments = np.einsum("k...y,...yij->...kij", powers, effects)
+        operators = np.concatenate((moments, _luders(moments, first_channel)), axis=-3)
+        # |tr(rho X)| <= sum |X_ij| for a state rho, so a finite entry sum
+        # keeps every expectation taken of these operators finite too.
+        finite = np.isfinite(np.abs(operators).sum())
+    if not finite:
+        raise ValueError("outcome values too large: the moment operators overflow")
+    return _read_only(operators)
+
+
+def _clamped_variance(mean_sq: float, mean: float) -> float:
+    """<y^2> - <y>^2 from the two moments; as in qubit._variances,
+    round-off negatives above qubit._variance_floor (written out here for
+    two floats) are clamped and anything below it, or NaN, is an error."""
+    var = mean_sq - mean * mean
+    if not var >= -CONSTRUCTION_TOL * max(mean_sq, 1.0):
+        raise ValueError(f"variance evaluated to {var}")
+    return max(var, 0.0)
+
+
 def delta_v(state: QState, first: Observable, second: Observable) -> CriterionReport:
     """Variance-law violation of measuring second with/without a prior first.
 
@@ -100,11 +146,16 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     """
     _check_same_dim(state, first)
     _check_same_dim(state, second)
-    pair = _dephased_pair(state.matrix, first._channel)
-    v_direct, v_dephased = map(
-        float, _variances(_born(pair, second._matrices), second._values)
-    )
-    distance = float(_trace_norm(pair[0] - pair[1]))
+    memo = second._moments
+    operators = memo.get(first)
+    if operators is None:
+        operators = memo[first] = _moment_operators(
+            second._values, second._matrices, first._channel
+        )
+    mean, mean_sq, mean_dephased, mean_sq_dephased = _born(state.matrix, operators).tolist()
+    v_direct = _clamped_variance(mean_sq, mean)
+    v_dephased = _clamped_variance(mean_sq_dephased, mean_dephased)
+    distance = float(_trace_norm(state.matrix - _luders(state.matrix, first._channel)))
     witness = (
         measurement_coherence_witness(second, first)
         if first.is_sharp()
@@ -170,9 +221,13 @@ def moment_difference(
     if not (float(k).is_integer() and k >= 2):
         raise ValueError(f"moment order k={k} must be a whole number of at least 2")
     probabilities = _direct_and_dephased(state, first, second)
-    deviations = second._values - (probabilities @ second._values)[:, None]
-    direct, dephased = np.einsum("ry,ry->r", deviations**k, probabilities)
-    return float(dephased - direct)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deviations = second._values - (probabilities @ second._values)[:, None]
+        direct, dephased = np.einsum("ry,ry->r", deviations**k, probabilities)
+        difference = float(dephased - direct)
+    if not math.isfinite(difference):
+        raise ValueError(f"outcome values too large: the order-{k} central moments overflow")
+    return difference
 
 
 def entropy_difference(state: QState, first: Observable, second: Observable) -> float:

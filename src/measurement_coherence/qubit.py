@@ -143,6 +143,8 @@ class Observable(_Value):
         object.__setattr__(self, "outcomes", outcomes)
         if not outcomes:
             raise ValueError("observable has no outcomes")
+        if not all(isinstance(e, Effect) for _, e in outcomes):
+            raise ValueError("each outcome must pair a value with an Effect")
         dims = sorted({e.dim for _, e in outcomes})
         if len(dims) > 1:
             raise ValueError(f"effects have mismatched dimensions {dims}")
@@ -199,6 +201,12 @@ class Observable(_Value):
     def _witnesses(self) -> weakref.WeakKeyDictionary:
         """measurement_coherence_witness(self, basis) per basis, filled on
         first use; keyed weakly, so a memo never keeps a basis alive."""
+        return weakref.WeakKeyDictionary()
+
+    @cached_property
+    def _moments(self) -> weakref.WeakKeyDictionary:
+        """criterion._moment_operators of self after each first measurement,
+        keyed weakly by that measurement and filled on first use."""
         return weakref.WeakKeyDictionary()
 
     @cached_property
@@ -316,15 +324,25 @@ def _born(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...yji->...y", states, effects).real
 
 
+def _variance_floor(mean_sq):
+    """Most negative round-off accepted in <y^2> - <y>^2: 1e-12 in units of
+    <y^2> once that exceeds 1, since the cancellation error scales with it."""
+    return -CONSTRUCTION_TOL * np.maximum(mean_sq, 1.0)
+
+
 def _variances(probabilities: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Outcome variances <y^2> - <y>^2 over the last axis; tiny negative
-    round-off is clamped."""
-    mean = probabilities @ values
-    mean_sq = probabilities @ (values * values)
-    var = mean_sq - mean * mean
-    lowest = var.min()
-    if lowest < -CONSTRUCTION_TOL:
-        raise ValueError(f"variance evaluated to {lowest}")
+    """Outcome variances <y^2> - <y>^2 over the last axis; round-off
+    negatives above _variance_floor are clamped, and a variance that
+    overflows is an error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = probabilities @ values
+        mean_sq = probabilities @ (values * values)
+        var = mean_sq - mean * mean
+    if not np.isfinite(var).all():
+        raise ValueError("outcome values too large: the variance overflows")
+    below = ~(var >= _variance_floor(mean_sq))
+    if below.any():
+        raise ValueError(f"variance evaluated to {var[below].min()}")
     return np.maximum(var, 0.0)
 
 

@@ -1,13 +1,17 @@
 """Classical laws, the variance-law violation, and its generalizations."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from measurement_coherence import criterion
 from measurement_coherence import (
     CriterionReport,
     JointDistribution,
+    Observable,
     QState,
     analytic_delta_v,
     analytic_variance_perturbed,
@@ -21,6 +25,7 @@ from measurement_coherence import (
     observable_y,
     sequential_joint,
     total_probability_residual,
+    variance,
 )
 from conftest import diagonal_povm, random_density
 
@@ -31,6 +36,11 @@ def oracle_delta_v(p: float, gamma: float, theta: float) -> float:
     return s * s * math.sin(theta) ** 2 + 2.0 * (2.0 * p - 1.0) * s * math.sin(
         theta
     ) * math.cos(theta)
+
+
+def scaled_second(theta: float, values: tuple[float, float]) -> Observable:
+    """The effects of observable_y(theta) with other outcome values."""
+    return Observable(tuple(zip(values, observable_y(theta).effects)))
 
 
 class TestTotalProbabilityResidual:
@@ -93,9 +103,124 @@ class TestDeltaV:
                 witness=0.0,
             )
 
+    @pytest.mark.parametrize("scale", [1e4, 1e100])
+    def test_eigenstate_at_large_values_has_zero_variance(self, scale):
+        # the round-off in <y^2> - <y>^2 grows with <y^2>, and so does the
+        # floor below which a negative variance is an error
+        for theta in np.linspace(0.01, 3.1, 200):
+            second = scaled_second(theta, (0.0, scale))
+            plus = second.effects[1].matrix
+            state = QState(plus / np.trace(plus).real)
+            assert variance(state, second) <= 1e-12 * scale**2
+            report = delta_v(state, observable_x(), second)
+            assert report.v_unperturbed <= 1e-12 * scale**2
+
     def test_report_rejects_nan_variances(self):
         with pytest.raises(ValueError, match="difference"):
             CriterionReport(math.nan, math.nan, math.nan, trace_norm_sq=0.0, witness=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflow:
+    """Outcome values whose squares overflow raise a ValueError that says
+    so, with no RuntimeWarning on the way."""
+
+    state = make_state(0.3, 0.8)
+    second = scaled_second(1.0, (0.0, 1e200))
+
+    def test_delta_v(self):
+        with pytest.raises(ValueError, match="overflow"):
+            delta_v(self.state, observable_x(), self.second)
+
+    def test_moment_difference(self):
+        with pytest.raises(ValueError, match="overflow"):
+            moment_difference(self.state, observable_x(), self.second, 2)
+
+    def test_moment_operators(self):
+        with pytest.raises(ValueError, match="overflow"):
+            criterion._moment_operators(
+                self.second._values, self.second._matrices, observable_x()._channel
+            )
+
+    def test_large_values_that_fit_scale_as_their_square(self):
+        unit = delta_v(self.state, observable_x(), scaled_second(1.0, (0.0, 1.0)))
+        large = delta_v(self.state, observable_x(), scaled_second(1.0, (0.0, 1e100)))
+        assert large.delta_v == pytest.approx(1e200 * unit.delta_v, rel=1e-12)
+
+
+class TestMomentMemo:
+    """delta_v builds the moment operators B, A, Phi(B) and Phi(A) once per
+    (first, second) pair and keeps them on second, without keeping either
+    observable alive."""
+
+    @staticmethod
+    def count_builds(monkeypatch) -> list:
+        calls = []
+        inner = criterion._moment_operators
+
+        def spy(values, effects, first_channel):
+            calls.append(first_channel)
+            return inner(values, effects, first_channel)
+
+        monkeypatch.setattr(criterion, "_moment_operators", spy)
+        return calls
+
+    def test_built_once_per_pair_across_delta_v_calls(self, monkeypatch, rng):
+        calls = self.count_builds(monkeypatch)
+        first, second = observable_x(), observable_y(np.pi / 3)
+        for _ in range(20):
+            delta_v(random_density(rng), first, second)
+        assert len(calls) == 1
+        assert calls[0] is first._channel
+
+    def test_each_first_measurement_gets_its_own_entry(self, monkeypatch):
+        calls = self.count_builds(monkeypatch)
+        second = observable_y(np.pi / 6)
+        reference, conjugate = observable_x(), observable_y(np.pi / 2)
+        state = make_state(0.3, 0.8)
+        for _ in range(3):
+            assert delta_v(state, reference, second).delta_v == pytest.approx(
+                oracle_delta_v(0.3, 0.8, np.pi / 6), abs=1e-12
+            )
+            delta_v(state, conjugate, second)
+        assert [id(c) for c in calls] == [id(reference._channel), id(conjugate._channel)]
+        assert len(second._moments) == 2
+        assert not np.array_equal(second._moments[reference], second._moments[conjugate])
+
+    def test_operators_are_read_only(self):
+        first, second = observable_x(), observable_y(1.0)
+        delta_v(make_state(0.3, 0.8), first, second)
+        operators = second._moments[first]
+        assert operators.shape == (4, 2, 2)
+        assert operators.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            operators[0, 0, 0] = 0.0
+
+    def test_discarded_observables_are_freed(self, rng):
+        first = observable_y(2.0)
+        second = observable_y(1.0)
+        for _ in range(3):
+            delta_v(random_density(rng), first, second)
+        dropped = weakref.ref(second)
+        del second
+        gc.collect()
+        assert dropped() is None
+        # keyed weakly: a first measurement used once is not kept alive either
+        kept = observable_y(0.5)
+        delta_v(random_density(rng), first, kept)
+        dropped = weakref.ref(first)
+        del first
+        gc.collect()
+        assert dropped() is None
+        assert len(kept._moments) == 0
+
+    def test_a_memo_hit_reports_what_the_build_did(self, rng):
+        first, second = observable_x(), observable_y(0.9)
+        state = random_density(rng)
+        built = delta_v(state, first, second)
+        assert first in second._moments
+        assert delta_v(state, first, second) == built
+        assert delta_v(state, first, observable_y(0.9)) == built
 
 
 class TestAnalyticForms:

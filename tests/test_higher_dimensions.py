@@ -3,6 +3,8 @@
 Random POVMs and states; nothing here is specific to the qubit family.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +107,21 @@ def test_no_violation_when_the_second_commutes_with_every_first_effect(dim, seed
             assert commutator_norm(eff_x, eff_y) <= TOL
     report = delta_v(random_state(rng, dim), first, second)
     assert abs(report.delta_v) <= TOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=dims, seed=seeds)
+def test_violation_is_bounded_by_the_trace_distance(dim, seed):
+    """|delta_v| <= 3 r^2 ||rho - rho'||_1 with r the half-range of the
+    second measurement's values: shift the values to [-r, r], then
+    |tr(X (rho' - rho))| <= ||X|| ||rho' - rho||_1 bounds the second
+    moment's change by r^2 and the squared mean's by 2 r^2."""
+    rng = np.random.default_rng(seed)
+    first, second = random_povm(rng, dim), random_povm(rng, dim)
+    report = delta_v(random_state(rng, dim), first, second)
+    half_range = (max(second.values) - min(second.values)) / 2.0
+    bound = 3.0 * half_range**2 * math.sqrt(report.trace_norm_sq)
+    assert abs(report.delta_v) <= bound + 1e-12
 
 
 def central_moment(dist, k: int) -> float:

@@ -187,6 +187,12 @@ class TestVariance:
             theta = rng.uniform(0.0, np.pi)
             assert variance(state, observable_y(theta)) >= 0.0
 
+    def test_overflow_is_an_error_that_says_so(self):
+        minus, plus = observable_y(1.0).effects
+        second = Observable(((0.0, minus), (1e200, plus)))
+        with pytest.raises(ValueError, match="overflow"):
+            variance(make_state(0.3, 0.8), second)
+
 
 class TestPsdSqrt:
     def test_identity(self):
@@ -302,6 +308,10 @@ class TestValidation:
     def test_observable_requires_effects_of_one_dimension(self):
         with pytest.raises(ValueError, match=r"mismatched dimensions \[2, 3\]"):
             Observable(((0.0, Effect(np.eye(2))), (1.0, Effect(np.zeros((3, 3))))))
+
+    def test_observable_requires_effects_not_bare_matrices(self):
+        with pytest.raises(ValueError, match="Effect"):
+            Observable(((0.0, np.diag([1.0, 0.0])), (1.0, np.diag([0.0, 1.0]))))
 
     @pytest.mark.parametrize(
         "build",
