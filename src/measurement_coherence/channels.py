@@ -24,6 +24,7 @@ from .qubit import (
     _born,
     _check_same_dim,
     _read_only,
+    _variances,
 )
 
 PROBABILITY_FLOOR = 1e-14
@@ -66,12 +67,10 @@ class OutcomeDistribution(_Value):
         return float(self.probabilities[self.values.index(value)])
 
     def mean(self) -> float:
-        return float(np.dot(self.values, self.probabilities))
+        return float(self.probabilities @ self.values)
 
     def variance(self) -> float:
-        mean = self.mean()
-        second = float(np.dot(np.square(self.values), self.probabilities))
-        return max(second - mean * mean, 0.0)
+        return float(_variances(self.probabilities, np.array(self.values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,19 +169,13 @@ def measurement_coherence_witness(obs: Observable, basis: Observable) -> float:
 
     Zero exactly when every effect of obs is diagonal in the basis, i.e.
     when obs admits a classical (incoherent-mixture) description relative
-    to that reference measurement.  Computed once per (obs, basis) pair;
-    the value is kept on obs.
+    to that reference measurement.  A 1x1 effect has no off-diagonal
+    entry, so at d = 1 the witness is 0.  delta_v keeps the value per pair
+    of measurements (Observable._pairs); this function computes it anew.
     """
-    memo = obs._witnesses
-    if basis not in memo:
-        memo[basis] = _witness(obs, basis)
-    return memo[basis]
-
-
-def _witness(obs: Observable, basis: Observable) -> float:
     _check_same_dim(obs, basis)
     basis_matrix = basis.sharp_basis
     if basis_matrix is None:
         raise ValueError("witness basis must consist of rank-1 orthogonal projectors")
     in_basis = basis_matrix.conj().T @ obs._matrices @ basis_matrix
-    return float(np.max(np.abs(in_basis[:, ~np.eye(obs.dim, dtype=bool)])))
+    return float(np.max(np.abs(in_basis[:, ~np.eye(obs.dim, dtype=bool)]), initial=0.0))

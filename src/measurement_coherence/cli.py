@@ -41,8 +41,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .channels import _checked_probabilities
-from .criterion import _dephased_pair
+from .channels import _checked_probabilities, _luders
 from .photonics import (
     _METER_V,
     GateParams,
@@ -155,15 +154,15 @@ def _grid_rows(
     else:
         p = np.full_like(axis_values, PrepConfig(spec.alpha_deg).p)
         gamma = axis_values
-    # SweepSpec has range-checked p and gamma; pair[0] holds the axis states.
-    pair = _dephased_pair(_family_states(p, np.sqrt(p * (1.0 - p)) * gamma), _x_channel())
-    distance = _trace_norm(pair[0] - pair[1])
+    # SweepSpec has range-checked p and gamma.
+    states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
+    dephased = _luders(states, _x_channel())
+    distance = _trace_norm(states - dephased)
     trdist_sq = distance * distance
     # The gate depends on the state but not on theta: it is applied here
     # once per (axis value, meter mode), which is also its check, so a gate
     # that fails on some grid point fails before any block is yielded.
-    signals, success = _gated_signals(pair[0, :, None], spec.gate, _METER_V)
-    signals /= success[..., None, None]
+    signals = _gated_signals(states[:, None], spec.gate, _METER_V)
     theta_effects = _tilted_effects(np.radians(theta_deg))
     rng = np.random.default_rng(spec.seed)
     steps = len(theta_deg)
@@ -178,7 +177,8 @@ def _grid_rows(
             v_gated = _variances(probabilities, _OUTCOME_VALUES)
             analytic = v_gated[..., 1] - v_gated[..., 0]
         else:
-            runs = _born(pair[:, axis, None], effects)  # (run, axis, theta, outcome)
+            pair = np.array((states[axis], dephased[axis]))
+            runs = _born(pair[:, :, None], effects)  # (run, axis, theta, outcome)
             v_direct, v_dephased = _variances(runs, _OUTCOME_VALUES)
             analytic = v_dephased - v_direct
         counts = _poisson_counts(rng, spec.flux, probabilities)

@@ -21,9 +21,11 @@ Each variance needs only two expectations, <B> and <A>, of the moment
 operators B = sum_y y E_y and A = sum_y y^2 E_y.  The first measurement's
 Lueders channel Phi is self-dual, so the dephased expectations are
 tr(rho' X) = tr(rho Phi(X)).  delta_v therefore builds B, A, Phi(B) and
-Phi(A) once per (first, second) pair, keeps them on second, and per
-state takes one Born pass over the four and combines the four numbers.
-A pair used for a single state pays that build on the call.
+Phi(A), and the witness of the second measurement in the first one's
+basis, once per (first, second) pair and keeps both in one memo on
+second (Observable._pairs).  Per state it takes one Born pass over the
+four operators and combines the four numbers.  A pair used for a single
+state pays that build on the call.
 """
 
 from __future__ import annotations
@@ -69,17 +71,6 @@ class CriterionReport:
             raise ValueError("delta_v is not the difference of the variances")
 
 
-def _dephased_pair(states: np.ndarray, first_channel: np.ndarray) -> np.ndarray:
-    """The direct and dephased runs (rho, rho') of stacked states (..., d, d),
-    stacked with the run axis first, shape (2, ..., d, d).
-
-    first_channel is the first measurement's Lueders matrix
-    (Observable._channel).  The states are trusted: callers validate them
-    at the API boundary, and rho' is an intermediate that is not re-checked.
-    """
-    return np.array((states, _luders(states, first_channel)))
-
-
 def _direct_and_dephased(
     state: QState, first: Observable, second: Observable
 ) -> np.ndarray:
@@ -87,7 +78,8 @@ def _direct_and_dephased(
     checked and stacked to shape (2, Y)."""
     _check_same_dim(state, first)
     _check_same_dim(state, second)
-    pair = _dephased_pair(state.matrix, first._channel)
+    rho = state.matrix
+    pair = np.array((rho, _luders(rho, first._channel)))
     return _checked_probabilities(_born(pair, second._matrices))
 
 
@@ -146,21 +138,18 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     """
     _check_same_dim(state, first)
     _check_same_dim(state, second)
-    memo = second._moments
-    operators = memo.get(first)
-    if operators is None:
-        operators = memo[first] = _moment_operators(
-            second._values, second._matrices, first._channel
+    memo = second._pairs
+    entry = memo.get(first)
+    if entry is None:
+        entry = memo[first] = (
+            _moment_operators(second._values, second._matrices, first._channel),
+            measurement_coherence_witness(second, first) if first.is_sharp() else math.nan,
         )
+    operators, witness = entry
     mean, mean_sq, mean_dephased, mean_sq_dephased = _born(state.matrix, operators).tolist()
     v_direct = _clamped_variance(mean_sq, mean)
     v_dephased = _clamped_variance(mean_sq_dephased, mean_dephased)
     distance = float(_trace_norm(state.matrix - _luders(state.matrix, first._channel)))
-    witness = (
-        measurement_coherence_witness(second, first)
-        if first.is_sharp()
-        else float("nan")
-    )
     return CriterionReport(
         v_unperturbed=v_direct,
         v_perturbed=v_dephased,

@@ -248,11 +248,9 @@ _RUNS = (UNPERTURBED, PERTURBED)
 _METER_V = np.array([0.0, 0.5])
 
 
-def _gated_signals(
-    signals: np.ndarray, params: GateParams, meter_v
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gated signals K o rho (entrywise), not yet renormalized, and their
-    coincidence success probabilities tr(K o rho).
+def _gated_signals(signals: np.ndarray, params: GateParams, meter_v) -> np.ndarray:
+    """Gated, renormalized signals K o rho / tr(K o rho) (entrywise product),
+    where tr(K o rho) is the coincidence success probability.
 
     Gating and discarding the meter maps rho to K o rho.  After the
     compensators every branch amplitude is tau = T_H T_V except the
@@ -260,9 +258,9 @@ def _gated_signals(
     visibility v and meter V weight w
         K = tau^2 J + w [[0, -v tau r], [-v tau r, r^2 - 2 v tau r]],
     J the all-ones matrix; gate_channel is the 4x4 reference it reproduces.
-    signals (..., 2, 2) and meter_v (...) broadcast.  Raises
-    PostSelectionError when any success probability is at or below
-    PROBABILITY_FLOOR.
+    signals (..., 2, 2) and meter_v (...) broadcast; the gated array is
+    new and is renormalized in place.  Raises PostSelectionError when any
+    success probability is at or below PROBABILITY_FLOOR.
     """
     tau = params.t_h * params.t_v
     r = params.t_h * (1.0 - params.t_v)
@@ -275,7 +273,8 @@ def _gated_signals(
         raise PostSelectionError(
             f"coincidence success probability {lowest} vanishes"
         )
-    return gated, success
+    gated /= success[..., None, None]
+    return gated
 
 
 def run_setting(
@@ -285,15 +284,14 @@ def run_setting(
 
     mode selects the meter injection: UNPERTURBED (|H>, no coupling) or
     PERTURBED (|+>, gate active).  The signal passes the post-selected
-    gate of _gated_signals and is renormalized, the meter is discarded
+    gate of _gated_signals, which renormalizes it, the meter is discarded
     unanalyzed, and the signal is read out at analysis angle theta.
     """
     if mode not in _RUNS:
         raise ValueError(f"unknown mode {mode!r}")
     _check_finite("angle theta", theta)
-    meter_v = _METER_V[_RUNS.index(mode)]
-    gated, success = _gated_signals(prepare_signal(cfg).matrix, params, meter_v)
-    return OutcomeDistribution((-1.0, +1.0), _born(gated / success, _tilted_effects(theta)))
+    signal = _gated_signals(prepare_signal(cfg).matrix, params, _METER_V[_RUNS.index(mode)])
+    return OutcomeDistribution((-1.0, +1.0), _born(signal, _tilted_effects(theta)))
 
 
 def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -> np.ndarray:

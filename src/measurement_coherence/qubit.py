@@ -198,15 +198,12 @@ class Observable(_Value):
         return _read_only(channel)
 
     @cached_property
-    def _witnesses(self) -> weakref.WeakKeyDictionary:
-        """measurement_coherence_witness(self, basis) per basis, filled on
-        first use; keyed weakly, so a memo never keeps a basis alive."""
-        return weakref.WeakKeyDictionary()
-
-    @cached_property
-    def _moments(self) -> weakref.WeakKeyDictionary:
-        """criterion._moment_operators of self after each first measurement,
-        keyed weakly by that measurement and filled on first use."""
+    def _pairs(self) -> weakref.WeakKeyDictionary:
+        """What criterion.delta_v derives from each first measurement
+        followed by self: (criterion._moment_operators, the witness of self
+        in that measurement's basis, NaN unless it is sharp).  Filled on
+        first use; keyed weakly, so the memo never keeps a first
+        measurement alive."""
         return weakref.WeakKeyDictionary()
 
     @cached_property

@@ -8,7 +8,6 @@ import weakref
 import numpy as np
 import pytest
 
-from measurement_coherence import channels
 from measurement_coherence import (
     Effect,
     JointDistribution,
@@ -28,6 +27,7 @@ from measurement_coherence import (
     post_measurement_state,
     sequential_joint,
 )
+from measurement_coherence import criterion
 from measurement_coherence.photonics import CountRecord
 from conftest import diagonal_povm, random_density, random_pure
 
@@ -258,6 +258,10 @@ class TestWitness:
         got = measurement_coherence_witness(observable_y(0.0), observable_x())
         assert got == pytest.approx(0.0, abs=1e-15)
 
+    def test_one_dimensional_effects_have_zero_witness(self):
+        one = Observable(((0.0, Effect([[1.0]])),))
+        assert measurement_coherence_witness(one, one) == 0.0
+
     def test_unsharp_basis_rejected(self, rng):
         with pytest.raises(ValueError, match="sharp|projector"):
             measurement_coherence_witness(observable_x(), diagonal_povm(rng))
@@ -271,6 +275,62 @@ class TestWitness:
             state = random_density(rng)
             report = delta_v(state, observable_x(), second)
             assert abs(report.delta_v) <= 1e-12
+
+
+class TestWitnessMemo:
+    """delta_v computes the witness once per (obs, basis) pair and keeps it
+    on obs, without keeping either object alive."""
+
+    @staticmethod
+    def count_witness_computations(monkeypatch) -> list:
+        calls = []
+        inner = criterion.measurement_coherence_witness
+
+        def spy(obs, basis):
+            calls.append((obs, basis))
+            return inner(obs, basis)
+
+        monkeypatch.setattr(criterion, "measurement_coherence_witness", spy)
+        return calls
+
+    def test_computed_once_per_pair_across_delta_v_calls(self, monkeypatch, rng):
+        calls = self.count_witness_computations(monkeypatch)
+        first, second = observable_x(), observable_y(np.pi / 3)
+        witnesses = {delta_v(random_density(rng), first, second).witness for _ in range(20)}
+        assert calls == [(second, first)]
+        assert len(witnesses) == 1
+        assert witnesses.pop() == pytest.approx(np.sin(np.pi / 3) / 2.0, abs=1e-12)
+
+    def test_each_basis_gets_its_own_value(self, monkeypatch, rng):
+        calls = self.count_witness_computations(monkeypatch)
+        second = observable_y(np.pi / 6)
+        reference, conjugate = observable_x(), observable_y(np.pi / 2)
+        for _ in range(3):
+            in_reference = delta_v(random_density(rng), reference, second).witness
+            in_conjugate = delta_v(random_density(rng), conjugate, second).witness
+            assert in_reference == pytest.approx(0.25, abs=1e-12)
+            assert in_conjugate == pytest.approx(np.cos(np.pi / 6) / 2.0, abs=1e-12)
+            assert measurement_coherence_witness(second, reference) == in_reference
+            assert measurement_coherence_witness(second, conjugate) == in_conjugate
+        assert calls == [(second, reference), (second, conjugate)]
+
+    def test_discarded_observables_are_freed(self, rng):
+        first = observable_x()
+        second = observable_y(1.0)
+        for _ in range(3):
+            delta_v(random_density(rng), first, second)
+        dropped = weakref.ref(second)
+        del second
+        gc.collect()
+        assert dropped() is None
+        # the memo is keyed weakly: a basis used once is not kept alive either
+        kept = observable_y(0.5)
+        basis = observable_y(2.0)
+        delta_v(random_density(rng), basis, kept)
+        dropped = weakref.ref(basis)
+        del basis
+        gc.collect()
+        assert dropped() is None
 
 
 class TestCommutationImpliesNoDisturbance:
@@ -297,63 +357,3 @@ class TestCommutationImpliesNoDisturbance:
             np.testing.assert_allclose(
                 direct.probabilities, perturbed.probabilities, atol=1e-10
             )
-
-
-class TestWitnessMemo:
-    """measurement_coherence_witness is computed once per (obs, basis) pair
-    and kept on obs, without keeping either object alive."""
-
-    @staticmethod
-    def count_witness_computations(monkeypatch) -> list:
-        calls = []
-        inner = channels._witness
-
-        def spy(obs, basis):
-            calls.append((obs, basis))
-            return inner(obs, basis)
-
-        monkeypatch.setattr(channels, "_witness", spy)
-        return calls
-
-    def test_computed_once_per_pair_across_delta_v_calls(self, monkeypatch, rng):
-        calls = self.count_witness_computations(monkeypatch)
-        first, second = observable_x(), observable_y(np.pi / 3)
-        witnesses = {delta_v(random_density(rng), first, second).witness for _ in range(20)}
-        assert calls == [(second, first)]
-        assert len(witnesses) == 1
-        assert witnesses.pop() == pytest.approx(np.sin(np.pi / 3) / 2.0, abs=1e-12)
-
-    def test_each_basis_gets_its_own_value(self, monkeypatch):
-        calls = self.count_witness_computations(monkeypatch)
-        second = observable_y(np.pi / 6)
-        reference, conjugate = observable_x(), observable_y(np.pi / 2)
-        for _ in range(3):
-            in_reference = measurement_coherence_witness(second, reference)
-            in_conjugate = measurement_coherence_witness(second, conjugate)
-            assert in_reference == pytest.approx(0.25, abs=1e-12)
-            assert in_conjugate == pytest.approx(np.cos(np.pi / 6) / 2.0, abs=1e-12)
-        assert calls == [(second, reference), (second, conjugate)]
-
-    def test_unsharp_basis_is_rejected_every_time(self, rng):
-        basis = diagonal_povm(rng)
-        for _ in range(2):
-            with pytest.raises(ValueError, match="sharp|projector"):
-                measurement_coherence_witness(observable_x(), basis)
-
-    def test_discarded_observables_are_freed(self, rng):
-        first = observable_x()
-        second = observable_y(1.0)
-        for _ in range(3):
-            delta_v(random_density(rng), first, second)
-        dropped = weakref.ref(second)
-        del second
-        gc.collect()
-        assert dropped() is None
-        # the memo is keyed weakly: a basis used once is not kept alive either
-        kept = observable_y(0.5)
-        basis = observable_y(2.0)
-        delta_v(random_density(rng), basis, kept)
-        dropped = weakref.ref(basis)
-        del basis
-        gc.collect()
-        assert dropped() is None

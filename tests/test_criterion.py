@@ -10,8 +10,10 @@ import pytest
 from measurement_coherence import criterion
 from measurement_coherence import (
     CriterionReport,
+    Effect,
     JointDistribution,
     Observable,
+    OutcomeDistribution,
     QState,
     analytic_delta_v,
     analytic_variance_perturbed,
@@ -20,6 +22,7 @@ from measurement_coherence import (
     entropy_difference,
     law_of_total_variance_decomposition,
     make_state,
+    measurement_coherence_witness,
     moment_difference,
     observable_x,
     observable_y,
@@ -93,6 +96,12 @@ class TestDeltaV:
         report = delta_v(make_state(0.3, 0.8), diagonal_povm(rng), observable_y(1.0))
         assert math.isnan(report.witness)
 
+    def test_one_dimensional_pair_has_no_violation_and_zero_witness(self):
+        one = Observable(((0.0, Effect([[1.0]])),))
+        report = delta_v(QState([[1.0]]), one, one)
+        assert report.delta_v == 0.0
+        assert report.witness == 0.0
+
     def test_report_difference_invariant(self):
         with pytest.raises(ValueError, match="difference"):
             CriterionReport(
@@ -142,6 +151,10 @@ class TestOverflow:
                 self.second._values, self.second._matrices, observable_x()._channel
             )
 
+    def test_outcome_distribution_variance(self):
+        with pytest.raises(ValueError, match="overflow"):
+            OutcomeDistribution((0.0, 1e200), [0.5, 0.5]).variance()
+
     def test_large_values_that_fit_scale_as_their_square(self):
         unit = delta_v(self.state, observable_x(), scaled_second(1.0, (0.0, 1.0)))
         large = delta_v(self.state, observable_x(), scaled_second(1.0, (0.0, 1e100)))
@@ -149,52 +162,70 @@ class TestOverflow:
 
 
 class TestMomentMemo:
-    """delta_v builds the moment operators B, A, Phi(B) and Phi(A) once per
-    (first, second) pair and keeps them on second, without keeping either
-    observable alive."""
+    """delta_v builds the moment operators B, A, Phi(B) and Phi(A) and the
+    witness once per (first, second) pair and keeps them in one entry on
+    second, without keeping either observable alive."""
 
     @staticmethod
-    def count_builds(monkeypatch) -> list:
-        calls = []
-        inner = criterion._moment_operators
+    def count_builds(monkeypatch) -> tuple[list, list]:
+        builds, witnesses = [], []
+        moment_operators = criterion._moment_operators
+        witness = criterion.measurement_coherence_witness
 
-        def spy(values, effects, first_channel):
-            calls.append(first_channel)
-            return inner(values, effects, first_channel)
+        def spy_operators(values, effects, first_channel):
+            builds.append(first_channel)
+            return moment_operators(values, effects, first_channel)
 
-        monkeypatch.setattr(criterion, "_moment_operators", spy)
-        return calls
+        def spy_witness(obs, basis):
+            witnesses.append((obs, basis))
+            return witness(obs, basis)
+
+        monkeypatch.setattr(criterion, "_moment_operators", spy_operators)
+        monkeypatch.setattr(criterion, "measurement_coherence_witness", spy_witness)
+        return builds, witnesses
 
     def test_built_once_per_pair_across_delta_v_calls(self, monkeypatch, rng):
-        calls = self.count_builds(monkeypatch)
+        builds, witnesses = self.count_builds(monkeypatch)
         first, second = observable_x(), observable_y(np.pi / 3)
-        for _ in range(20):
-            delta_v(random_density(rng), first, second)
-        assert len(calls) == 1
-        assert calls[0] is first._channel
+        reported = {delta_v(random_density(rng), first, second).witness for _ in range(20)}
+        assert len(builds) == 1
+        assert builds[0] is first._channel
+        assert witnesses == [(second, first)]
+        assert len(reported) == 1
+        assert reported.pop() == pytest.approx(np.sin(np.pi / 3) / 2.0, abs=1e-12)
 
     def test_each_first_measurement_gets_its_own_entry(self, monkeypatch):
-        calls = self.count_builds(monkeypatch)
+        builds, witnesses = self.count_builds(monkeypatch)
         second = observable_y(np.pi / 6)
         reference, conjugate = observable_x(), observable_y(np.pi / 2)
         state = make_state(0.3, 0.8)
         for _ in range(3):
-            assert delta_v(state, reference, second).delta_v == pytest.approx(
+            in_reference = delta_v(state, reference, second)
+            assert in_reference.delta_v == pytest.approx(
                 oracle_delta_v(0.3, 0.8, np.pi / 6), abs=1e-12
             )
-            delta_v(state, conjugate, second)
-        assert [id(c) for c in calls] == [id(reference._channel), id(conjugate._channel)]
-        assert len(second._moments) == 2
-        assert not np.array_equal(second._moments[reference], second._moments[conjugate])
+            assert in_reference.witness == pytest.approx(0.25, abs=1e-12)
+            in_conjugate = delta_v(state, conjugate, second)
+            assert in_conjugate.witness == pytest.approx(np.cos(np.pi / 6) / 2.0, abs=1e-12)
+        assert [id(c) for c in builds] == [id(reference._channel), id(conjugate._channel)]
+        assert witnesses == [(second, reference), (second, conjugate)]
+        assert len(second._pairs) == 2
+        assert not np.array_equal(second._pairs[reference][0], second._pairs[conjugate][0])
 
     def test_operators_are_read_only(self):
         first, second = observable_x(), observable_y(1.0)
         delta_v(make_state(0.3, 0.8), first, second)
-        operators = second._moments[first]
+        operators, _witness = second._pairs[first]
         assert operators.shape == (4, 2, 2)
         assert operators.flags.writeable is False
         with pytest.raises(ValueError, match="read-only"):
             operators[0, 0, 0] = 0.0
+
+    def test_unsharp_basis_is_rejected_every_time(self, rng):
+        basis = diagonal_povm(rng)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="sharp|projector"):
+                measurement_coherence_witness(observable_x(), basis)
 
     def test_discarded_observables_are_freed(self, rng):
         first = observable_y(2.0)
@@ -212,13 +243,13 @@ class TestMomentMemo:
         del first
         gc.collect()
         assert dropped() is None
-        assert len(kept._moments) == 0
+        assert len(kept._pairs) == 0
 
     def test_a_memo_hit_reports_what_the_build_did(self, rng):
         first, second = observable_x(), observable_y(0.9)
         state = random_density(rng)
         built = delta_v(state, first, second)
-        assert first in second._moments
+        assert first in second._pairs
         assert delta_v(state, first, second) == built
         assert delta_v(state, first, observable_y(0.9)) == built
 
