@@ -20,12 +20,17 @@ higher-moment / entropy variants of the same comparison.
 Each variance needs only two expectations, <B> and <A>, of the moment
 operators B = sum_y y E_y and A = sum_y y^2 E_y.  The first measurement's
 Lueders channel Phi is self-dual, so the dephased expectations are
-tr(rho' X) = tr(rho Phi(X)).  delta_v therefore builds B, A, Phi(B) and
-Phi(A), and the witness of the second measurement in the first one's
-basis, once per (first, second) pair and keeps both in one memo on
-second (Observable._pairs).  Per state it takes one Born pass over the
-four operators and combines the four numbers.  A pair used for a single
-state pays that build on the call.
+tr(rho' X) = tr(rho Phi(X)).  delta_v therefore builds, once per
+(first, second) pair, a probe matrix of shape (d^2, 4 + d^2) and the
+witness of the second measurement in the first one's basis, and keeps
+both in one memo on second (Observable._pairs).  The probe's first four
+columns are B, A, Phi(B) and Phi(A), each transposed and flattened, so
+that flat(rho) @ column is tr(rho X); the last d^2 are I - Phi, which
+map flat(rho) to flat(rho - rho').  Per state delta_v takes one product
+of the flattened state with the probe: four moments for the variances
+and the difference rho - rho', whose trace norm is taken in closed form
+at d = 2 (qubit._qubit_trace_norm) and by eigvalsh above.  A pair used
+for a single state pays the build on the call.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ from .qubit import (
     QState,
     _born,
     _check_family_params,
+    _check_finite,
     _check_same_dim,
+    _qubit_trace_norm,
     _read_only,
     _trace_norm,
     _variances,
@@ -138,18 +145,31 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     """
     _check_same_dim(state, first)
     _check_same_dim(state, second)
+    d = state.dim
     memo = second._pairs
     entry = memo.get(first)
     if entry is None:
+        operators = _moment_operators(second._values, second._matrices, first._channel)
+        # Transposed, so that flat(rho) @ column is tr(rho X); flat(rho) @
+        # (I - Phi) is flat(rho - rho').
+        probe = np.concatenate(
+            (operators.transpose(0, 2, 1).reshape(4, d * d).T, np.eye(d * d) - first._channel),
+            axis=1,
+        )
         entry = memo[first] = (
-            _moment_operators(second._values, second._matrices, first._channel),
+            _read_only(probe),
             measurement_coherence_witness(second, first) if first.is_sharp() else math.nan,
         )
-    operators, witness = entry
-    mean, mean_sq, mean_dephased, mean_sq_dephased = _born(state.matrix, operators).tolist()
+    probe, witness = entry
+    product = state.matrix.reshape(-1) @ probe
+    entries = product.tolist()
+    mean, mean_sq, mean_dephased, mean_sq_dephased = (z.real for z in entries[:4])
     v_direct = _clamped_variance(mean_sq, mean)
     v_dephased = _clamped_variance(mean_sq_dephased, mean_dephased)
-    distance = float(_trace_norm(state.matrix - _luders(state.matrix, first._channel)))
+    if d == 2:
+        distance = _qubit_trace_norm(entries[4:])
+    else:
+        distance = float(_trace_norm(product[4:].reshape(d, d)))
     return CriterionReport(
         v_unperturbed=v_direct,
         v_perturbed=v_dephased,
@@ -162,6 +182,7 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
 def analytic_variance_unperturbed(p: float, gamma: float, theta: float) -> float:
     """Closed-form variance of y(theta) on the qubit state (p, gamma)."""
     _check_family_params(p, gamma)
+    _check_finite("angle theta", theta)
     mean = (2.0 * p - 1.0) * math.cos(theta) + 2.0 * math.sqrt(
         p * (1.0 - p)
     ) * gamma * math.sin(theta)
@@ -171,6 +192,7 @@ def analytic_variance_unperturbed(p: float, gamma: float, theta: float) -> float
 def analytic_variance_perturbed(p: float, theta: float) -> float:
     """Closed-form variance of y(theta) after dephasing in the H/V basis."""
     _check_family_params(p, 0.0)
+    _check_finite("angle theta", theta)
     cos = math.cos(theta)
     return 1.0 - (1.0 - 2.0 * p) ** 2 * cos * cos
 

@@ -116,6 +116,11 @@ class GateParams:
 MEASURED_GATE = GateParams(t_h=0.985, t_v=0.324, visibility=1.0)
 
 
+def _check_flux(mean_flux: float) -> None:
+    if not (math.isfinite(mean_flux) and mean_flux > 0.0):
+        raise ValueError(f"mean_flux={mean_flux} must be finite and positive")
+
+
 @dataclass(frozen=True)
 class CountRecord(_Value):
     """Poisson coincidence counts for one analyzer setting."""
@@ -125,6 +130,7 @@ class CountRecord(_Value):
     mean_flux: float
 
     def __post_init__(self):
+        _check_flux(self.mean_flux)
         given = np.asarray(self.counts)
         if not (np.isfinite(given).all() and (given == np.trunc(given)).all()):
             raise ValueError("counts must be whole numbers")
@@ -302,8 +308,7 @@ def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -
     for a positive mean, so without the snap a round-off change in one
     cell would shift every later count of the sweep.
     """
-    if mean_flux <= 0.0:
-        raise ValueError(f"mean_flux={mean_flux} must be positive")
+    _check_flux(mean_flux)
     snapped = np.where(probabilities <= PROBABILITY_FLOOR, 0.0, probabilities)
     return rng.poisson(mean_flux * snapped)
 

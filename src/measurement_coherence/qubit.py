@@ -18,7 +18,7 @@ that is valid by construction: they skip the matrix checks through the
 private _Value._trusted.  Matrices that carry round-off, such as the
 outputs of luders_channel, post_measurement_state and gate_channel,
 always go through the checked constructors.  Intermediates that never
-leave a function, such as the dephased state rho' inside delta_v and the
+leave a function, such as the difference rho - rho' inside delta_v and the
 P/P' comparisons of the criterion module, are trusted arrays; what those
 functions report is checked.
 """
@@ -200,10 +200,14 @@ class Observable(_Value):
     @cached_property
     def _pairs(self) -> weakref.WeakKeyDictionary:
         """What criterion.delta_v derives from each first measurement
-        followed by self: (criterion._moment_operators, the witness of self
-        in that measurement's basis, NaN unless it is sharp).  Filled on
-        first use; keyed weakly, so the memo never keeps a first
-        measurement alive."""
+        followed by self: (probe, witness).  The probe is one read-only
+        (d^2, 4 + d^2) matrix: criterion._moment_operators transposed and
+        flattened, then I minus the first measurement's _channel, so that
+        delta_v takes one product with it per state and the trace norm in
+        closed form at d = 2.  The witness is that of self in the first
+        measurement's basis, NaN unless that is sharp.  Filled on first
+        use; keyed weakly, so the memo never keeps a first measurement
+        alive."""
         return weakref.WeakKeyDictionary()
 
     @cached_property
@@ -359,6 +363,18 @@ def variance(state: QState, obs: Observable) -> float:
 def _trace_norm(differences: np.ndarray) -> np.ndarray:
     """Trace norms sum |eigenvalues| of stacked Hermitian matrices (..., d, d)."""
     return np.abs(np.linalg.eigvalsh(differences)).sum(axis=-1)
+
+
+def _qubit_trace_norm(entries: list) -> float:
+    """Trace norm of one Hermitian 2x2 matrix [[a, .], [c, e]] given as its
+    four entries in row order, in closed form: the eigenvalues are
+    (a + e)/2 +- hypot(a - e, 2|c|)/2, so the sum of their magnitudes is
+    the larger of |a + e| and hypot(a - e, 2|c|).  Reads the lower entry c,
+    as eigvalsh does; hypot squares nothing, so entries from 1e-150 to
+    1e150 keep full relative precision."""
+    a = entries[0].real
+    e = entries[3].real
+    return max(abs(a + e), math.hypot(a - e, 2.0 * abs(entries[2])))
 
 
 def trace_norm_distance(a: QState, b: QState) -> float:

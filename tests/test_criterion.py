@@ -21,6 +21,7 @@ from measurement_coherence import (
     delta_v,
     entropy_difference,
     law_of_total_variance_decomposition,
+    luders_channel,
     make_state,
     measurement_coherence_witness,
     moment_difference,
@@ -28,9 +29,10 @@ from measurement_coherence import (
     observable_y,
     sequential_joint,
     total_probability_residual,
+    trace_norm_distance,
     variance,
 )
-from conftest import diagonal_povm, random_density
+from conftest import diagonal_povm, random_density, random_pure
 
 
 def oracle_delta_v(p: float, gamma: float, theta: float) -> float:
@@ -91,6 +93,23 @@ class TestDeltaV:
         report = delta_v(make_state(0.3, 0.8), observable_x(), observable_y(np.pi / 2))
         assert report.witness == pytest.approx(0.5, abs=1e-12)
         assert report.trace_norm_sq == pytest.approx(4 * 0.3 * 0.7 * 0.64, abs=1e-12)
+
+    @pytest.mark.parametrize("first_kind", ["sharp", "unsharp"])
+    def test_matches_the_dephased_state_path(self, first_kind, rng):
+        for _ in range(200):
+            state = random_density(rng)
+            if first_kind == "sharp":
+                first = observable_y(rng.uniform(0.0, np.pi))
+            else:
+                first = diagonal_povm(rng)
+            # a sharp second measurement in a complex basis
+            projector = random_pure(rng).matrix
+            second = Observable(((-1.0, Effect(np.eye(2) - projector)), (1.0, Effect(projector))))
+            report = delta_v(state, first, second)
+            dephased = luders_channel(state, first)
+            assert abs(report.trace_norm_sq - trace_norm_distance(state, dephased) ** 2) <= 1e-15
+            assert report.v_unperturbed == pytest.approx(variance(state, second), abs=1e-12)
+            assert report.v_perturbed == pytest.approx(variance(dephased, second), abs=1e-12)
 
     def test_unsharp_first_measurement_has_nan_witness(self, rng):
         report = delta_v(make_state(0.3, 0.8), diagonal_povm(rng), observable_y(1.0))
@@ -215,11 +234,11 @@ class TestMomentMemo:
     def test_operators_are_read_only(self):
         first, second = observable_x(), observable_y(1.0)
         delta_v(make_state(0.3, 0.8), first, second)
-        operators, _witness = second._pairs[first]
-        assert operators.shape == (4, 2, 2)
-        assert operators.flags.writeable is False
+        probe, _witness = second._pairs[first]
+        assert probe.shape == (4, 4 + 4)
+        assert probe.flags.writeable is False
         with pytest.raises(ValueError, match="read-only"):
-            operators[0, 0, 0] = 0.0
+            probe[0, 0] = 0.0
 
     def test_unsharp_basis_is_rejected_every_time(self, rng):
         basis = diagonal_povm(rng)
@@ -284,6 +303,15 @@ class TestAnalyticForms:
             analytic_variance_unperturbed(0.5, 1.5, 0.0)
         with pytest.raises(ValueError):
             analytic_variance_perturbed(-0.1, 0.0)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="finite"):
+            analytic_variance_unperturbed(0.3, 0.5, theta)
+        with pytest.raises(ValueError, match="finite"):
+            analytic_variance_perturbed(0.3, theta)
+        with pytest.raises(ValueError, match="finite"):
+            analytic_delta_v(0.3, 0.5, theta)
 
     def test_matrix_path_agrees_with_closed_forms(self):
         for p in np.linspace(0.0, 1.0, 12):

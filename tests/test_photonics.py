@@ -362,6 +362,14 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="flux"):
             sample_counts(dist, 0.0, seed=1)
 
+    @pytest.mark.parametrize("flux", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_flux_must_be_finite_and_positive(self, flux):
+        dist = analyzer_distribution(make_state(0.3, 0.9), 0.8)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            sample_counts(dist, flux, seed=1)
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            CountRecord((-1.0, +1.0), [3, 4], flux)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CountRecord((-1.0, +1.0), np.array([-1, 2]), 10.0)

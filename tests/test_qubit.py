@@ -1,6 +1,7 @@
 """States, observables, and small-matrix operations."""
 
 import copy
+import decimal
 import math
 import pickle
 
@@ -22,6 +23,7 @@ from measurement_coherence import (
     trace_norm_distance,
     variance,
 )
+from measurement_coherence.qubit import _qubit_trace_norm, _trace_norm
 from conftest import assert_passes_public_checks, random_density
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -251,6 +253,64 @@ class TestTraceNormDistance:
             d_ba = trace_norm_distance(b, a)
             assert d_ab == pytest.approx(d_ba, abs=1e-12)
             assert d_ab <= trace_norm_distance(a, c) + trace_norm_distance(c, b) + 1e-12
+
+
+# Unit-scale floats on a 2**-52 grid: scaled by up to 1e-150 they stay far
+# from the subnormal range, where no relative bound holds.
+UNIT = st.integers(-(2**52), 2**52).map(lambda n: n / 2**52)
+
+
+@st.composite
+def hermitian_2x2(draw) -> np.ndarray:
+    """Hermitian [[a, conj(c)], [c, e]]: general, traceless, zero or rank 1,
+    with entries scaled by 10**k for k in [-150, 150]."""
+    shape = draw(st.sampled_from(("general", "traceless", "zero", "rank-1")))
+    a, e, re, im = (draw(UNIT) for _ in range(4))
+    c = complex(re, im)
+    if shape == "traceless":
+        e = -a
+    elif shape == "zero":
+        a = e = c = 0.0
+    elif shape == "rank-1":  # e * v v^dagger with v = (a, c)
+        a, e, c = e * a * a, e * abs(c) ** 2, e * c * a
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    return np.array([[a, np.conj(c)], [c, e]]) * scale
+
+
+def exact_trace_norm(matrix: np.ndarray) -> float:
+    """max(|a + e|, sqrt((a - e)^2 + 4|c|^2)) in 100-digit decimal
+    arithmetic from the exact values of the float entries."""
+    with decimal.localcontext() as context:
+        context.prec = 100
+        a, e = (decimal.Decimal(matrix[i, i].real) for i in (0, 1))
+        c = matrix[1, 0]
+        c_sq = decimal.Decimal(c.real) ** 2 + decimal.Decimal(c.imag) ** 2
+        return float(max(abs(a + e), ((a - e) ** 2 + 4 * c_sq).sqrt()))
+
+
+class TestQubitTraceNorm:
+    """The closed-form 2x2 trace norm behind delta_v at d = 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=hermitian_2x2())
+    @example(matrix=np.zeros((2, 2), dtype=complex))
+    @example(matrix=np.array([[1e150, 1e150], [1e150, 1e150]], dtype=complex))
+    @example(matrix=np.array([[1e-150, 0.0], [0.0, -1e-150]], dtype=complex))
+    def test_matches_eigvalsh(self, matrix):
+        got = _qubit_trace_norm(matrix.reshape(-1).tolist())
+        # within 1e-15 of the exact value, and within eigvalsh's own error
+        # of it: eigvalsh alone errs by up to 1.4e-15 relative on rank-1
+        # and nearly diagonal matrices
+        assert abs(got - exact_trace_norm(matrix)) <= 1e-15 * got
+        reference = float(_trace_norm(matrix))
+        assert abs(got - reference) <= 2e-15 * reference
+
+    def test_reads_the_lower_entry(self):
+        # eigvalsh reads only the lower triangle, so the upper entry of
+        # this non-Hermitian matrix must not count; nor does it here
+        matrix = np.array([[0.5, 0.3 + 1e-3j], [0.1 - 0.2j, -0.25]])
+        got = _qubit_trace_norm(matrix.reshape(-1).tolist())
+        assert got == pytest.approx(float(_trace_norm(matrix)), rel=1e-15)
 
 
 class TestCommutatorNorm:
