@@ -34,6 +34,7 @@ from .criterion import (
     total_probability_residual,
 )
 from .photonics import (
+    MAX_FLUX,
     MEASURED_GATE,
     PERTURBED,
     UNPERTURBED,
@@ -71,6 +72,7 @@ __all__ = [
     "EstimationError",
     "GateParams",
     "JointDistribution",
+    "MAX_FLUX",
     "MEASURED_GATE",
     "Observable",
     "OutcomeDistribution",

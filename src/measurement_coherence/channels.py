@@ -22,6 +22,7 @@ from .qubit import (
     QState,
     _Value,
     _born,
+    _check_outcome_values,
     _check_same_dim,
     _read_only,
     _variances,
@@ -59,8 +60,13 @@ class OutcomeDistribution(_Value):
     probabilities: np.ndarray
 
     def __post_init__(self):
+        values = _check_outcome_values(self.values)
         probs = _checked_probabilities(self.probabilities)
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        if probs.shape != (len(values),):
+            raise ValueError(
+                f"probabilities of shape {probs.shape} do not match {len(values)} outcome values"
+            )
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "probabilities", probs)
 
     def probability_of(self, value: float) -> float:
@@ -82,13 +88,15 @@ class JointDistribution(_Value):
     table: np.ndarray  # shape (len(x_values), len(y_values))
 
     def __post_init__(self):
-        shape = (len(self.x_values), len(self.y_values))
+        x_values = _check_outcome_values(self.x_values)
+        y_values = _check_outcome_values(self.y_values)
+        shape = (len(x_values), len(y_values))
         table = np.asarray(self.table, dtype=float)
         if table.shape != shape:
             raise ValueError(f"table shape {table.shape} does not match outcome lists")
         table = _checked_probabilities(table.reshape(-1)).reshape(shape)
-        object.__setattr__(self, "x_values", tuple(float(v) for v in self.x_values))
-        object.__setattr__(self, "y_values", tuple(float(v) for v in self.y_values))
+        object.__setattr__(self, "x_values", x_values)
+        object.__setattr__(self, "y_values", y_values)
         object.__setattr__(self, "table", table)
 
     def x_marginal(self) -> OutcomeDistribution:

@@ -47,6 +47,7 @@ from .photonics import (
     GateParams,
     MEASURED_GATE,
     PrepConfig,
+    _check_flux,
     _estimate_delta_v,
     _gated_signals,
     _poisson_counts,
@@ -101,8 +102,7 @@ class SweepSpec:
             raise ValueError(f"gamma={self.gamma} outside [-1, 1]")
         if not 0.0 <= self.alpha_deg <= 45.0:
             raise ValueError(f"alpha={self.alpha_deg} outside [0, 45] degrees")
-        if not (math.isfinite(self.flux) and self.flux > 0.0):
-            raise ValueError(f"flux={self.flux} must be finite and positive")
+        _check_flux(self.flux, "flux")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be nonnegative")
         if self.fmt not in ("csv", "json"):

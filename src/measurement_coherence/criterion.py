@@ -161,11 +161,11 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
             measurement_coherence_witness(second, first) if first.is_sharp() else math.nan,
         )
     probe, witness = entry
-    product = state.matrix.reshape(-1) @ probe
+    product = state.matrix.ravel().dot(probe)
     entries = product.tolist()
-    mean, mean_sq, mean_dephased, mean_sq_dephased = (z.real for z in entries[:4])
-    v_direct = _clamped_variance(mean_sq, mean)
-    v_dephased = _clamped_variance(mean_sq_dephased, mean_dephased)
+    # <B>, <A>, <Phi(B)>, <Phi(A)>: the moments of y on rho and on rho'.
+    v_direct = _clamped_variance(entries[1].real, entries[0].real)
+    v_dephased = _clamped_variance(entries[3].real, entries[2].real)
     if d == 2:
         distance = _qubit_trace_norm(entries[4:])
     else:

@@ -50,7 +50,8 @@ from .qubit import (
     _Value,
     _born,
     _check_finite,
-    _family_states,
+    _check_outcome_values,
+    _family_state,
     _read_only,
     _tilted_effects,
 )
@@ -116,9 +117,18 @@ class GateParams:
 MEASURED_GATE = GateParams(t_h=0.985, t_v=0.324, visibility=1.0)
 
 
-def _check_flux(mean_flux: float) -> None:
+# Largest mean flux the count sampler takes.  numpy's Poisson sampler
+# rejects means above about 9.2e18, and at 1e18 the counts of both
+# outcomes, about 1e18 each, still sum well inside int64.
+MAX_FLUX = 1e18
+
+
+def _check_flux(mean_flux: float, name: str = "mean_flux") -> None:
+    """Raise ValueError unless 0 < mean_flux <= MAX_FLUX; NaN fails too."""
     if not (math.isfinite(mean_flux) and mean_flux > 0.0):
-        raise ValueError(f"mean_flux={mean_flux} must be finite and positive")
+        raise ValueError(f"{name}={mean_flux} must be finite and positive")
+    if not mean_flux <= MAX_FLUX:
+        raise ValueError(f"{name}={mean_flux} exceeds MAX_FLUX={MAX_FLUX:g}")
 
 
 @dataclass(frozen=True)
@@ -142,9 +152,10 @@ class CountRecord(_Value):
         counts = _read_only(given.astype(np.int64))
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if counts.shape != (len(self.values),):
+        values = _check_outcome_values(self.values)
+        if counts.shape != (len(values),):
             raise ValueError("one count per outcome value required")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "counts", counts)
 
 
@@ -176,10 +187,9 @@ def prepare_signal(cfg: PrepConfig) -> QState:
     """
     two_alpha = 2.0 * math.radians(cfg.alpha_deg)
     cos, sin = math.cos(two_alpha), math.sin(two_alpha)
-    off = cfg.gamma * cos * sin * np.exp(1j * cfg.phi)
     # Hermitian, trace one, and PSD since |off| <= |cos sin|: PrepConfig
     # has checked every parameter.
-    return QState._trusted(_family_states(sin * sin, off))
+    return QState._trusted(_family_state(sin * sin, cfg.gamma * cos * sin, cfg.phi))
 
 
 def _gate_kraus_branches(params: GateParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

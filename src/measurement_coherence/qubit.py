@@ -15,7 +15,11 @@ matrix and value they are given.  The family builders make_state,
 observable_y and observable_x (and photonics.prepare_signal) check their
 scalar parameters instead, finiteness included, and then build a value
 that is valid by construction: they skip the matrix checks through the
-private _Value._trusted.  Matrices that carry round-off, such as the
+private _Value._trusted.  The family state has two builders with the
+same bytes: _family_state builds one matrix from Python scalars in a
+single array call (make_state, photonics.prepare_signal), and
+_family_states is the stacked kernel that builds every axis state of a
+CLI sweep at once.  Matrices that carry round-off, such as the
 outputs of luders_channel, post_measurement_state and gate_channel,
 always go through the checked constructors.  Intermediates that never
 leave a function, such as the difference rho - rho' inside delta_v and the
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -50,6 +54,12 @@ def _as_square_complex(matrix) -> np.ndarray:
     return _read_only(mat)
 
 
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    """Names of a dataclass's fields in order, read once per class."""
+    return tuple(f.name for f in fields(cls))
+
+
 class _Value:
     """Base of the library's frozen value types.  Pickle and copy rebuild an
     instance from its dataclass fields through the constructor, so a copy
@@ -57,7 +67,7 @@ class _Value:
     unpickles arrays writeable) and no cached quantity."""
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(getattr(self, name) for name in _field_names(type(self)))
 
     @classmethod
     def _trusted(cls, *field_values):
@@ -66,10 +76,10 @@ class _Value:
         just built from checked parameters; the arrays among them must be
         fresh, and are made read-only as the checked path leaves them."""
         value = object.__new__(cls)
-        for f, field_value in zip(fields(cls), field_values):
+        for name, field_value in zip(_field_names(cls), field_values):
             if isinstance(field_value, np.ndarray):
                 _read_only(field_value)
-            object.__setattr__(value, f.name, field_value)
+            object.__setattr__(value, name, field_value)
         return value
 
 
@@ -148,16 +158,12 @@ class Observable(_Value):
         dims = sorted({e.dim for _, e in outcomes})
         if len(dims) > 1:
             raise ValueError(f"effects have mismatched dimensions {dims}")
-        values = [v for v, _ in outcomes]
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"outcome values must be finite, got {values}")
-        if len(set(values)) != len(values):
-            raise ValueError(f"outcome values must be distinct, got {values}")
+        _check_outcome_values(v for v, _ in outcomes)
         total = sum(e.matrix for _, e in outcomes)
         if np.max(np.abs(total - np.eye(self.dim))) > CONSTRUCTION_TOL:
             raise ValueError("effects do not sum to the identity")
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return self.outcomes[0][1].dim
 
@@ -233,6 +239,18 @@ class Observable(_Value):
         return self.sharp_basis is not None
 
 
+def _check_outcome_values(values) -> tuple[float, ...]:
+    """The outcome values as floats; raises ValueError unless they are
+    finite and distinct.  Shared by Observable and the distributions and
+    count records that carry outcome values."""
+    values = tuple(map(float, values))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"outcome values must be finite, got {list(values)}")
+    if len(set(values)) != len(values):
+        raise ValueError(f"outcome values must be distinct, got {list(values)}")
+    return values
+
+
 def _check_same_dim(a, b) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -254,8 +272,9 @@ def _check_family_params(p: float, gamma: float) -> None:
 def _family_states(p, off) -> np.ndarray:
     """Stacked qubit states [[1-p, conj(off)], [off, p]], shape p.shape + (2, 2).
 
-    The kernel behind make_state and photonics.prepare_signal; callers
-    own the range checks, so the result is not re-validated.
+    The stacked kernel behind the CLI sweeps; callers own the range
+    checks, so the result is not re-validated.  _family_state builds the
+    same matrix for one point.
     """
     p = np.asarray(p, dtype=float)
     states = np.empty(p.shape + (2, 2), dtype=np.complex128)
@@ -264,6 +283,23 @@ def _family_states(p, off) -> np.ndarray:
     states[..., 1, 0] = off
     states[..., 1, 1] = p
     return states
+
+
+def _family_state(p: float, magnitude: float, phi: float) -> np.ndarray:
+    """One qubit state [[1-p, conj(off)], [off, p]] with off =
+    magnitude * exp(i*phi), built from Python scalars in one array call.
+
+    The scalar builder behind make_state and photonics.prepare_signal; its
+    bytes equal _family_states(p, magnitude * np.exp(1j * phi)).  Callers
+    own the range checks, so the result is not re-validated.
+    """
+    # float() keeps a numpy float32 p or magnitude in double precision,
+    # as the stacked kernel's float64 arrays do.
+    p = float(p)
+    # 1j * phi has imaginary part 0.0 + phi, +0.0 at phi = -0.0; the
+    # sine takes the same argument, so signed zeros match too.
+    off = float(magnitude) * complex(math.cos(phi), math.sin(0.0 + phi))
+    return np.array(((1.0 - p, off.conjugate()), (off, p)), dtype=np.complex128)
 
 
 def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
@@ -275,9 +311,8 @@ def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
     """
     _check_family_params(p, gamma)
     _check_finite("phase phi", phi)
-    off = math.sqrt(p * (1.0 - p)) * gamma * np.exp(1j * phi)
     # Hermitian, trace one, and PSD since |off|^2 <= p(1-p).
-    return QState._trusted(_family_states(p, off))
+    return QState._trusted(_family_state(p, math.sqrt(p * (1.0 - p)) * gamma, phi))
 
 
 def _tilted_effects(theta) -> np.ndarray:

@@ -59,6 +59,20 @@ class TestOutcomeDistributionType:
         assert dist.mean() == pytest.approx(0.5)
         assert dist.variance() == pytest.approx(0.75)
 
+    @pytest.mark.parametrize("probabilities", [[0.2, 0.3, 0.5], [1.0], [[0.5, 0.5]]])
+    def test_rejects_one_probability_per_value_mismatch(self, probabilities):
+        with pytest.raises(ValueError, match=r"do not match 2 outcome values"):
+            OutcomeDistribution((-1.0, +1.0), probabilities)
+
+    def test_rejects_repeated_values(self):
+        with pytest.raises(ValueError, match=r"distinct, got \[1.0, 1.0\]"):
+            OutcomeDistribution((1, 1), [0.5, 0.5])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="outcome values must be finite"):
+            OutcomeDistribution((-1.0, value), [0.5, 0.5])
+
 
 class TestJointDistributionType:
     def test_clamps_tiny_negatives(self):
@@ -82,6 +96,20 @@ class TestJointDistributionType:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             JointDistribution((-1.0, +1.0), (-1.0, +1.0), [[np.nan, 0.5], [0.25, 0.25]])
+
+    @pytest.mark.parametrize(
+        "x_values, y_values, match",
+        [
+            ((1.0, 1.0), (-1.0, +1.0), "distinct"),
+            ((-1.0, +1.0), (1.0, 1.0), "distinct"),
+            ((-1.0, np.nan), (-1.0, +1.0), "finite"),
+            ((-1.0, +1.0), (np.inf, +1.0), "finite"),
+        ],
+        ids=["x-repeated", "y-repeated", "x-nan", "y-inf"],
+    )
+    def test_rejects_bad_outcome_values_on_either_axis(self, x_values, y_values, match):
+        with pytest.raises(ValueError, match=f"outcome values must be {match}"):
+            JointDistribution(x_values, y_values, np.full((2, 2), 0.25))
 
 
 # attribute: (constructor from that array, valid entries)

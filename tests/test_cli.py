@@ -15,6 +15,7 @@ from dataclasses import fields
 from hypothesis import example, given, settings, strategies as st
 
 from measurement_coherence import (
+    MAX_FLUX,
     PERTURBED,
     UNPERTURBED,
     GateParams,
@@ -460,11 +461,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("usage error:")
         assert not (tmp_path / "x.csv").exists()
 
-    def test_flux_beyond_the_poisson_limit_is_a_runtime_error(self, tmp_path, capsys):
-        code = run_main(["simulate", "--flux", 1e300, "--a1-steps", 2, "--theta-steps", 2,
+    @pytest.mark.parametrize("flux", [1e19, 1e300])
+    def test_flux_beyond_max_flux_is_a_usage_error(self, flux, tmp_path, capsys):
+        code = run_main(["simulate", "--flux", flux, "--a1-steps", 2, "--theta-steps", 2,
                          "--out", tmp_path / "x.csv"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"usage error: flux={flux} exceeds MAX_FLUX=1e+18"
+        )
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_flux_at_max_flux_runs(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run_main(["simulate", "--flux", MAX_FLUX, "--a1-steps", 2, "--theta-steps", 2,
+                         "--out", out])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 5
 
     def test_parser_is_built_once_and_keeps_no_state(self, tmp_path):
         assert build_parser() is build_parser()
@@ -556,6 +568,11 @@ class TestSpecValidation:
     def test_rejects_nonpositive_flux(self):
         with pytest.raises(ValueError, match="flux"):
             SweepSpec(axis1="p", flux=0.0)
+
+    def test_rejects_flux_above_max_flux(self):
+        assert SweepSpec(axis1="p", flux=MAX_FLUX).flux == MAX_FLUX
+        with pytest.raises(ValueError, match=r"flux=1e\+19 exceeds MAX_FLUX=1e\+18"):
+            SweepSpec(axis1="p", flux=1e19)
 
     def test_simulate_rejects_gamma_outside_domain(self, tmp_path):
         with pytest.raises(ValueError, match="gamma"):

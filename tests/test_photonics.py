@@ -1,12 +1,14 @@
 """Two-photon gate model, analyzer readout, and Poisson counting."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from measurement_coherence import (
+    MAX_FLUX,
     MEASURED_GATE,
     PERTURBED,
     UNPERTURBED,
@@ -30,6 +32,7 @@ from measurement_coherence import (
     sample_counts,
 )
 from measurement_coherence.photonics import _poisson_counts
+from measurement_coherence.qubit import _family_states
 from conftest import assert_passes_public_checks, random_density
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -127,6 +130,19 @@ class TestPrepareSignal:
                 prepare_signal(PrepConfig(alpha_deg=value))
             with pytest.raises(ValueError, match="finite"):
                 prepare_signal(PrepConfig(alpha_deg=10.0, phi=value))
+
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=FINITE, w_plus=st.floats(0.0, 1.0), phi=st.floats(-1e6, 1e6))
+    @example(alpha=0.0, w_plus=0.5, phi=-0.0)
+    @example(alpha=-0.0, w_plus=1.0, phi=0.0)
+    @example(alpha=30.0, w_plus=0.5, phi=0.0)
+    @example(alpha=12.0, w_plus=0.3, phi=-1e6)
+    def test_scalar_builder_matches_the_stacked_kernel(self, alpha, w_plus, phi):
+        cfg = PrepConfig(alpha, w_plus, phi)
+        two_alpha = 2.0 * math.radians(alpha)
+        cos, sin = math.cos(two_alpha), math.sin(two_alpha)
+        stacked = _family_states(sin * sin, cfg.gamma * cos * sin * np.exp(1j * phi))
+        assert prepare_signal(cfg).matrix.tobytes() == stacked.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(alpha=FINITE, w_plus=st.floats(0.0, 1.0), phi=FINITE)
@@ -369,6 +385,29 @@ class TestSampleCounts:
             sample_counts(dist, flux, seed=1)
         with pytest.raises(ValueError, match="must be finite and positive"):
             CountRecord((-1.0, +1.0), [3, 4], flux)
+
+    @pytest.mark.parametrize("flux", [1e19, 1e300])
+    def test_flux_above_max_flux_rejected(self, flux):
+        dist = analyzer_distribution(make_state(0.3, 0.9), 0.8)
+        with pytest.raises(ValueError, match=re.escape(f"mean_flux={flux} exceeds MAX_FLUX=1e+18")):
+            sample_counts(dist, flux, seed=1)
+        with pytest.raises(ValueError, match="exceeds MAX_FLUX"):
+            CountRecord((-1.0, +1.0), [3, 4], flux)
+
+    def test_counts_at_max_flux_stay_in_int64(self):
+        dist = analyzer_distribution(make_state(0.5, 0.0), 0.0)
+        record = sample_counts(dist, MAX_FLUX, seed=1)
+        assert record.counts.dtype == np.int64
+        assert record.counts.sum() == pytest.approx(MAX_FLUX, rel=1e-6)
+        value, std_err = estimate_delta_v(record, record)
+        assert value == 0.0
+        assert 0.0 <= std_err < 1e-9
+
+    def test_repeated_or_non_finite_outcome_values_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            CountRecord((1.0, 1.0), [3, 4], 10.0)
+        with pytest.raises(ValueError, match="finite"):
+            CountRecord((-1.0, math.nan), [3, 4], 10.0)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

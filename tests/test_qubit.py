@@ -23,7 +23,7 @@ from measurement_coherence import (
     trace_norm_distance,
     variance,
 )
-from measurement_coherence.qubit import _qubit_trace_norm, _trace_norm
+from measurement_coherence.qubit import _family_states, _qubit_trace_norm, _trace_norm
 from conftest import assert_passes_public_checks, random_density
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -77,6 +77,19 @@ class TestMakeState:
     def test_negative_gamma_is_accepted(self):
         state = make_state(0.5, -1.0)
         assert state.matrix[0, 1] == pytest.approx(-0.5)
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats(0.0, 1.0), gamma=st.floats(-1.0, 1.0), phi=st.floats(-1e6, 1e6))
+    @example(p=0.0, gamma=1.0, phi=0.0)
+    @example(p=1.0, gamma=-1.0, phi=-0.0)
+    @example(p=0.5, gamma=0.0, phi=-0.0)
+    @example(p=0.5, gamma=-0.0, phi=-0.0)
+    @example(p=5e-324, gamma=-0.0, phi=0.0)
+    @example(p=0.3, gamma=0.7, phi=1e6)
+    @example(p=0.3, gamma=0.7, phi=-1e6)
+    def test_scalar_builder_matches_the_stacked_kernel(self, p, gamma, phi):
+        stacked = _family_states(p, math.sqrt(p * (1.0 - p)) * gamma * np.exp(1j * phi))
+        assert make_state(p, gamma, phi).matrix.tobytes() == stacked.tobytes()
 
     def test_eigenvalues_stay_in_unit_interval_on_grid(self):
         for p in np.linspace(0.0, 1.0, 20):
@@ -424,6 +437,17 @@ class TestTrustedBuilders:
     def test_reference_observable(self):
         assert_passes_public_checks(observable_x())
 
+    def test_each_value_type_gets_its_own_field_names(self):
+        # Built one after another, so a field-name cache shared across the
+        # value types would hand the later ones the first one's names.
+        state = make_state(0.3, 0.5)
+        effect = Effect._trusted(np.diag([1.0, 0.0]).astype(np.complex128))
+        obs = observable_y(0.4)
+        assert vars(state).keys() == {"matrix"}
+        assert vars(effect).keys() == {"matrix"}
+        assert vars(obs).keys() == {"outcomes"}
+        assert obs.outcomes[0][0] == -1.0
+
 
 class TestReadOnlyMatrices:
     """Objects copy their input and freeze it, so no write can bypass the
@@ -457,6 +481,19 @@ class TestReadOnlyMatrices:
         np.testing.assert_array_equal(obs._matrices, [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
         np.testing.assert_array_equal(obs._channel, channel)
         assert variance(make_state(0.5, 1.0), obs) == 1.0
+
+    def test_cached_dimension_survives_copy_and_pickle(self):
+        obs = observable_y(0.4)
+        assert obs.dim == 2  # fills the cache
+        for copied in (pickle.loads(pickle.dumps(obs)), copy.copy(obs), copy.deepcopy(obs)):
+            assert copied.dim == 2
+            assert delta_v(make_state(0.3, 0.5), copied, obs) == delta_v(
+                make_state(0.3, 0.5), obs, obs
+            )
+        qutrit = QState(np.eye(3) / 3.0)
+        for first, second in ((obs, observable_x()), (observable_x(), obs)):
+            with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+                delta_v(qutrit, first, second)
 
     def test_pickle_and_copy_rebuild_through_the_constructor(self):
         first, second = observable_x(), observable_y(1.0)
