@@ -41,12 +41,12 @@ def _checked_probabilities(probabilities) -> np.ndarray:
     negatives clipped.  The checks are written 'not within bound', so that
     NaN fails them."""
     probs = np.asarray(probabilities, dtype=float)
-    lowest = np.min(probs)
+    lowest = probs.min()
     if not lowest >= -CONSTRUCTION_TOL:
         raise ValueError(f"negative probability {lowest}")
-    probs = np.clip(probs, 0.0, None)
-    sums = np.sum(probs, axis=-1)
-    worst = np.argmax(np.abs(sums - 1.0))
+    probs = probs.clip(0.0, None)
+    sums = probs.sum(axis=-1)
+    worst = abs(sums - 1.0).argmax()
     if not abs(float(sums.flat[worst]) - 1.0) <= ROUNDOFF_TOL:
         raise ValueError(f"probabilities sum to {sums.flat[worst]}")
     return _read_only(probs)
@@ -70,7 +70,11 @@ class OutcomeDistribution(_Value):
         object.__setattr__(self, "probabilities", probs)
 
     def probability_of(self, value: float) -> float:
-        return float(self.probabilities[self.values.index(value)])
+        try:
+            index = self.values.index(value)
+        except ValueError:
+            raise ValueError(f"{value!r} is not one of the outcomes {self.values}") from None
+        return float(self.probabilities[index])
 
     def mean(self) -> float:
         return float(self.probabilities @ self.values)

@@ -23,10 +23,13 @@ and writes each block as it finishes.  What depends on the state alone,
 the dephased state, the squared trace distance and the gated signals, is
 computed once per sweep, for every axis value before the first block,
 and broadcast over theta.  Applying the gate there is also its check.
-The writer formats each distinct value of a column once per block when
-the column repeats its values.  Sampling uses one generator per sweep,
-seeded by --seed and drawn in grid order, so output is byte-identical
-for identical arguments and does not depend on the block size.
+Each block reaches the writer as its columns in the shapes they were
+computed in: one entry per axis value, per theta, or per point.  The
+writer formats a column broadcast over the block once per block, by its
+shape, and every other column cell by cell.  Sampling uses one generator
+per sweep, seeded by --seed and drawn in grid order, so output is
+byte-identical for identical arguments and does not depend on the block
+size.
 """
 
 from __future__ import annotations
@@ -137,14 +140,17 @@ _ENGINE_POINTS = 16384  # grid points per engine block
 
 def _grid_rows(
     spec: SweepSpec, theta_deg: np.ndarray, gate_model_analytic: bool = False
-) -> Iterator[np.ndarray]:
-    """Every grid point of a sweep, one row of CSV_FIELDS per point, in
-    blocks of at most _ENGINE_POINTS rows.
+) -> Iterator[tuple[np.ndarray, ...]]:
+    """Every grid point of a sweep, in blocks of at most _ENGINE_POINTS
+    points.
 
     Points run over the axis1 values, then theta_deg (degrees).  A block is
     a rectangle of the grid: whole theta rows, or one piece of a theta row
-    longer than _ENGINE_POINTS.  Everything that depends on the state
-    alone is computed once per sweep and broadcast over theta.  One
+    longer than _ENGINE_POINTS.  A block of a axis values by w angles is
+    yielded as the columns of CSV_FIELDS in the shapes they broadcast
+    from: axis1 and trdist_sq (a, 1), theta (w,) and the rest (a, w).
+    Everything that depends on the state alone is computed once per sweep
+    and broadcast over theta.  One
     generator seeded by spec.seed draws the counts block after block in
     grid order, which gives the counts of one draw over the whole grid.
     """
@@ -184,26 +190,25 @@ def _grid_rows(
         counts = _poisson_counts(rng, spec.flux, probabilities)
         sampled, std_err = _estimate_delta_v(counts)
         z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
-        columns = (axis_values[axis, None], theta_deg[cut], analytic, sampled, std_err, z,
-                   trdist_sq[axis, None])
-        yield np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(CSV_FIELDS))
+        yield (axis_values[axis, None], theta_deg[cut], analytic, sampled, std_err, z,
+               trdist_sq[axis, None])
 
 
 def _theta_grid(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
 
 
-def _sweep_rows(spec: SweepSpec) -> Iterator[np.ndarray]:
+def _sweep_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
     return _grid_rows(spec, _theta_grid(spec))
 
 
-def _max_violation_rows(spec: SweepSpec) -> Iterator[np.ndarray]:
+def _max_violation_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
     if spec.axis1 == "gamma":
         spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 1/2
     return _grid_rows(spec, np.array([90.0]))
 
 
-def _simulate_rows(spec: SweepSpec) -> Iterator[np.ndarray]:
+def _simulate_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
     return _grid_rows(spec, _theta_grid(spec), gate_model_analytic=True)
 
 
@@ -215,28 +220,30 @@ _JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_FIELDS) + "
 _BLOCK_ROWS = 256
 
 
-def _row_texts(rows: np.ndarray) -> Iterator[Iterator[tuple[str, ...]]]:
-    """The repr texts of the cells of rows, one iterator of row tuples per
-    block of _BLOCK_ROWS rows.
+def _row_texts(columns: tuple[np.ndarray, ...]) -> Iterator[Iterator[tuple[str, ...]]]:
+    """The repr texts of the cells of one engine block, one iterator of row
+    tuples per _BLOCK_ROWS rows.
 
-    A column with at most half as many distinct values as rows formats
-    each value once.  Values are told apart by bit pattern, because 0.0
-    and -0.0 compare equal but print differently.
+    The rows are those of the columns broadcast together.  A column with
+    one entry per row is formatted as it is written; a smaller one formats
+    each of its entries once, and its texts are broadcast over the block.
     """
-    columns = []  # (text of an entry, entries) per column
-    for column in rows.T:
-        patterns, index = np.unique(column.view(np.int64), return_inverse=True)
-        if 2 * len(patterns) <= len(column):
-            texts = list(map(repr, patterns.view(np.float64).tolist()))
-            columns.append((texts.__getitem__, index))
+    block = np.broadcast(*columns)
+    shape, size = block.shape, block.size
+    cells = []  # (entries in row order, whether they are texts already) per column
+    for column in columns:
+        if column.size == size:
+            cells.append((column.reshape(-1), False))
         else:
-            columns.append((repr, column))
-    for start in range(0, len(rows), _BLOCK_ROWS):
+            texts = np.array(list(map(repr, column.ravel().tolist())), dtype=object)
+            cells.append((np.broadcast_to(texts.reshape(column.shape), shape).flat, True))
+    for start in range(0, size, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        yield zip(*(map(text, entries[start:stop].tolist()) for text, entries in columns))
+        yield zip(*(entries[start:stop].tolist() if is_text
+                    else map(repr, entries[start:stop].tolist()) for entries, is_text in cells))
 
 
-def _stream_rows(fmt: str, blocks: Iterable[np.ndarray], handle) -> None:
+def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> None:
     """Write the rows of each engine block, _BLOCK_ROWS at a time: CSV with
     a header line, or JSON with the bytes json.dumps(records, indent=2) and
     a final newline would give."""
@@ -246,15 +253,15 @@ def _stream_rows(fmt: str, blocks: Iterable[np.ndarray], handle) -> None:
         head, template, separator, tail = "[\n", _JSON_ROW, ",\n", "\n]\n"
     handle.write(head)
     lead = ""
-    for rows in blocks:
-        for texts in _row_texts(rows):
+    for columns in blocks:
+        for texts in _row_texts(columns):
             handle.write(lead)
             handle.write(separator.join([template % row for row in texts]))
             lead = separator
     handle.write(tail)
 
 
-def _write_rows(spec: SweepSpec, blocks: Iterator[np.ndarray]) -> None:
+def _write_rows(spec: SweepSpec, blocks: Iterator[tuple[np.ndarray, ...]]) -> None:
     # The first block is computed before the output is opened, so a sweep
     # that fails there leaves no file behind.
     blocks = itertools.chain([next(blocks)], blocks)
@@ -265,10 +272,11 @@ def _write_rows(spec: SweepSpec, blocks: Iterator[np.ndarray]) -> None:
             _stream_rows(spec.fmt, blocks, handle)
 
 
-def _emit(spec: SweepSpec, blocks: Iterator[np.ndarray]) -> list[SweepRecord]:
+def _emit(spec: SweepSpec, blocks: Iterator[tuple[np.ndarray, ...]]) -> list[SweepRecord]:
     blocks = list(blocks)  # the records hold the whole grid anyway
     _write_rows(spec, iter(blocks))
-    return [SweepRecord(*row) for rows in blocks for row in rows.tolist()]
+    return [SweepRecord(*row) for columns in blocks
+            for row in zip(*(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))]
 
 
 def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:

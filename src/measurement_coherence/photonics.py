@@ -341,7 +341,7 @@ def _estimate_delta_v(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (variance = observed count) gives it the variance 16 m^2 n+ n- / N^3.
     """
     totals = counts.sum(axis=-1)
-    if np.any(totals == 0):
+    if not totals.all():
         raise EstimationError("count record is empty")
     n_minus = counts[..., 0].astype(float)
     n_plus = counts[..., 1].astype(float)

@@ -163,6 +163,11 @@ class TestOutcomeDistribution:
         assert dist.probability_of(-1.0) == pytest.approx(0.835, abs=1e-12)
         assert dist.probability_of(+1.0) == pytest.approx(0.165, abs=1e-12)
 
+    def test_unknown_value_names_the_value_and_the_outcomes(self):
+        dist = OutcomeDistribution((-1.0, 1.0), [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"^2\.0 is not one of the outcomes \(-1\.0, 1\.0\)$"):
+            dist.probability_of(2.0)
+
 
 class TestPostMeasurementState:
     def test_projective_collapse(self):

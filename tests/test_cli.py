@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -26,7 +26,6 @@ from measurement_coherence import (
 )
 from measurement_coherence import cli, photonics
 from measurement_coherence.cli import (
-    _BLOCK_ROWS,
     _FLAGS,
     _stream_rows,
     _x_channel,
@@ -146,38 +145,66 @@ def row_writer_text(fmt, rows):
 # Repeated values: signed zeros (equal, but printed differently), the
 # smallest subnormal, and values whose repr switches to exponent form.
 _POOL = (0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, -1e-5, 0.1, -2.5, 1.0)
+# At least half the entries are signed zeros, so that short columns mix both.
+_POOL_ENTRIES = st.sampled_from(_POOL[:2]) | st.sampled_from(_POOL)
+
+
+def block_shapes(a, w):
+    """The column shapes of an engine block of a axis values by w angles."""
+    return ((a, 1), (w,), (a, w), (a, w), (a, w), (a, w), (a, 1))
+
+
+def broadcast_rows(blocks):
+    """The (n, 7) rows of engine blocks given as columns."""
+    return np.concatenate([np.empty((0, len(CSV_FIELDS)))] + [
+        np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(CSV_FIELDS))
+        for columns in blocks])
 
 
 @st.composite
 def engine_blocks(draw):
-    """(n, 7) rows mixing columns from small pools with continuous ones,
-    and the cut points that split them into engine blocks.  The entries
-    come from a drawn numpy seed, so that a failure shrinks quickly."""
-    n = draw(st.integers(0, 3 * _BLOCK_ROWS + 10))
+    """Engine blocks as column tuples: runs of whole theta rows, pieces of
+    one theta row and one-theta blocks.  Each column takes its entries from
+    _POOL, drawn one by one so that a failure shrinks to the values that
+    cause it, or from a continuous range through a drawn numpy seed."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = []
-    for _name in CSV_FIELDS:
-        if draw(st.booleans()):
-            columns.append(rng.choice(draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=6)), n))
-        else:  # magnitudes from the subnormals to 1e300
-            columns.append(rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, n))
-    cuts = draw(st.lists(st.integers(0, n), max_size=3))
-    return np.column_stack(columns).reshape(n, len(CSV_FIELDS)), sorted(cuts)
+    blocks = []
+    for layout in draw(st.lists(st.sampled_from(("rows", "piece", "one-theta")), max_size=3)):
+        a = 1 if layout == "piece" else draw(st.integers(1, 6))
+        w = 1 if layout == "one-theta" else draw(st.integers(1, 8))
+        columns = []
+        for shape in block_shapes(a, w):
+            if draw(st.booleans()):
+                size = math.prod(shape)
+                entries = draw(st.lists(_POOL_ENTRIES, min_size=size, max_size=size))
+                columns.append(np.array(entries).reshape(shape))
+            else:  # magnitudes from the subnormals to 1e300
+                columns.append(rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape))
+        blocks.append(tuple(columns))
+    return blocks
+
+
+_SIGNED_ZEROS = [tuple(np.resize([0.0, -0.0, -0.0], shape) for shape in block_shapes(4, 3))]
 
 
 class TestWriter:
     @settings(max_examples=80, deadline=None)
-    @given(fmt=st.sampled_from(("csv", "json")), table=engine_blocks())
-    @example(fmt="csv", table=(np.tile([[0.0], [-0.0]], (4, len(CSV_FIELDS))), []))
-    def test_column_writer_matches_the_row_writer(self, fmt, table):
-        rows, cuts = table
+    @given(fmt=st.sampled_from(("csv", "json")), blocks=engine_blocks(),
+           block_rows=st.integers(1, 7))
+    @example(fmt="csv", blocks=_SIGNED_ZEROS, block_rows=5)
+    def test_column_writer_matches_the_row_writer(self, fmt, blocks, block_rows):
+        rows = broadcast_rows(blocks)
         handle = io.StringIO()
-        _stream_rows(fmt, np.split(rows, cuts), handle)
-        text = handle.getvalue()
-        assert text == row_writer_text(fmt, rows)
+        with pytest.MonkeyPatch.context() as patch:  # chunk edges within a few rows
+            patch.setattr(cli, "_BLOCK_ROWS", block_rows)
+            _stream_rows(fmt, blocks, handle)
+        # Compared as lists of lines: pytest explains a failed comparison of
+        # long strings with a diff that takes longer than the whole example.
+        lines = handle.getvalue().splitlines(keepends=True)
+        assert lines == row_writer_text(fmt, rows).splitlines(keepends=True)
         if fmt == "json" and len(rows):
             records = [dict(zip(CSV_FIELDS, row)) for row in rows.tolist()]
-            assert text == json.dumps(records, indent=2) + "\n"
+            assert lines == (json.dumps(records, indent=2) + "\n").splitlines(keepends=True)
 
 
 class TestEngineBlocks:
@@ -207,6 +234,18 @@ class TestEngineBlocks:
         monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
         assert len(whole) == 900
         assert cmd_simulate(spec) == whole
+
+    @pytest.mark.parametrize(
+        "run, grid",
+        [(cmd_simulate, {"a1_steps": 3, "theta_steps": 150}),  # theta rows split in two
+         (cmd_max_violation, {"a1_steps": 250})],
+    )
+    def test_commands_return_the_rows_they_wrote(self, run, grid, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
+        out = tmp_path / "sweep.csv"
+        records = run(SweepSpec(axis1="p", out=str(out), **grid))
+        _header, rows = read_csv(out)
+        assert [astuple(record) for record in records] == [tuple(row.values()) for row in rows]
 
     def test_the_gate_runs_once_per_sweep(self, monkeypatch):
         calls = []
