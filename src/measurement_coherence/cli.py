@@ -38,6 +38,7 @@ import argparse
 import functools
 import itertools
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -267,9 +268,22 @@ def _write_rows(spec: SweepSpec, blocks: Iterator[tuple[np.ndarray, ...]]) -> No
     blocks = itertools.chain([next(blocks)], blocks)
     if spec.out is None:
         _stream_rows(spec.fmt, blocks, sys.stdout)
-    else:
-        with open(spec.out, "w", encoding="utf-8") as handle:
+        return
+    handle = open(spec.out, "w", encoding="utf-8")
+    opened = os.fstat(handle.fileno())
+    try:
+        with handle:
             _stream_rows(spec.fmt, blocks, handle)
+    except BaseException:
+        # A sweep that fails in a later block leaves no --out file either.
+        # Only the regular file this call opened goes: the path must still
+        # name it, not through a link, so /dev/stdout and os.devnull stay.
+        try:
+            if os.path.samestat(os.lstat(spec.out), opened) and os.path.isfile(spec.out):
+                os.remove(spec.out)
+        except OSError:
+            pass  # the sweep's own error is the one to report
+        raise
 
 
 def _emit(spec: SweepSpec, blocks: Iterator[tuple[np.ndarray, ...]]) -> list[SweepRecord]:

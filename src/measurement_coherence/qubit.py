@@ -11,19 +11,20 @@ construction-time invariants (inputs are exact), 1e-10 for quantities
 that accumulate round-off (eigenvalues, matrix square roots).
 
 The public constructors QState, Effect and Observable validate every
-matrix and value they are given.  The family builders make_state,
-observable_y and observable_x (and photonics.prepare_signal) check their
-scalar parameters instead, finiteness included, and then build a value
-that is valid by construction: they skip the matrix checks through the
-private _Value._trusted.  The family state has two builders with the
-same bytes: _family_state builds one matrix from Python scalars in a
-single array call (make_state, photonics.prepare_signal), and
+matrix and value they are given; QState and Effect share one intake,
+_Hermitian, and each checks its own spectrum.  The family builders
+make_state, observable_y and observable_x (and photonics.prepare_signal)
+check their scalar parameters instead, finiteness included, and then
+build a value that is valid by construction: they skip the matrix checks
+through the private _Value._trusted.  The family state has two builders
+with the same bytes: _family_state builds one matrix from Python scalars
+in a single array call (make_state, photonics.prepare_signal), and
 _family_states is the stacked kernel that builds every axis state of a
-CLI sweep at once.  Matrices that carry round-off, such as the
-outputs of luders_channel, post_measurement_state and gate_channel,
-always go through the checked constructors.  Intermediates that never
-leave a function, such as the difference rho - rho' inside delta_v and the
-P/P' comparisons of the criterion module, are trusted arrays; what those
+CLI sweep at once.  Matrices that carry round-off, such as the outputs
+of luders_channel, post_measurement_state and gate_channel, always go
+through the checked constructors.  Intermediates that never leave a
+function, such as the difference rho - rho' inside delta_v and the P/P'
+comparisons of the criterion module, are trusted arrays; what those
 functions report is checked.
 """
 
@@ -43,15 +44,6 @@ ROUNDOFF_TOL = 1e-10
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _as_square_complex(matrix) -> np.ndarray:
-    """A read-only complex copy, so that no later write to the caller's
-    array can bypass validation or leave a cached quantity stale."""
-    mat = np.array(matrix, dtype=np.complex128)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    return _read_only(mat)
 
 
 @cache
@@ -83,59 +75,58 @@ class _Value:
         return value
 
 
-def _hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest |M - M^dagger| entry; NaN or inf when an entry of M is not
-    finite, so callers test 'not defect <= tol' to reject those too."""
-    return float(np.abs(mat - mat.conj().T).max())
-
-
 @dataclass(frozen=True, eq=False)
-class QState(_Value):
-    """Density matrix: Hermitian, unit trace, positive semidefinite."""
+class _Hermitian(_Value):
+    """Checked intake of QState and Effect: a read-only complex copy of a
+    Hermitian matrix, so that no later write to the caller's array can
+    bypass validation or leave a cached quantity stale.  The subclasses add
+    no field; each names itself in _kind and checks its spectrum."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = _as_square_complex(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        if not _hermiticity_defect(mat) <= CONSTRUCTION_TOL:
-            raise ValueError("density matrix is not Hermitian or not finite")
+        mat = np.array(self.matrix, dtype=np.complex128)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+        object.__setattr__(self, "matrix", _read_only(mat))
+        # The largest |M - M^dagger| entry is NaN or inf when an entry of M
+        # is not finite, so 'not <=' rejects those too.
+        if not np.abs(mat - mat.conj().T).max() <= CONSTRUCTION_TOL:
+            raise ValueError(f"{self._kind} is not Hermitian or not finite")
+        self._check_spectrum(mat)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+class QState(_Hermitian):
+    """Density matrix: Hermitian, unit trace, positive semidefinite."""
+
+    _kind = "density matrix"
+
+    def _check_spectrum(self, mat: np.ndarray) -> None:
         if abs(np.trace(mat).real - 1.0) > CONSTRUCTION_TOL:
             raise ValueError(f"density matrix trace is {np.trace(mat).real}, expected 1")
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if lowest < -ROUNDOFF_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lowest}")
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-
-@dataclass(frozen=True, eq=False)
-class Effect(_Value):
+class Effect(_Hermitian):
     """POVM element: Hermitian with spectrum inside [0, 1]."""
 
-    matrix: np.ndarray
+    _kind = "effect"
 
-    def __post_init__(self):
-        mat = _as_square_complex(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        if not _hermiticity_defect(mat) <= CONSTRUCTION_TOL:
-            raise ValueError("effect is not Hermitian or not finite")
+    def _check_spectrum(self, mat: np.ndarray) -> None:
         eigs = np.linalg.eigvalsh(mat)
         if eigs[0] < -ROUNDOFF_TOL or eigs[-1] > 1.0 + ROUNDOFF_TOL:
             raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] leaves [0, 1]")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     @cached_property
     def sqrt(self) -> np.ndarray:
         """Hermitian PSD square root, computed once per effect."""
         eigenvalues, vectors = np.linalg.eigh(self.matrix)
-        if eigenvalues[0] < -ROUNDOFF_TOL:
-            raise ValueError(f"matrix is not PSD (eigenvalue {eigenvalues[0]})")
         # Eigenvalues at round-off scale are genuine zeros; square-rooting
         # them would inject sqrt(eps)-sized spurious amplitudes.
         cleaned = np.where(eigenvalues < CONSTRUCTION_TOL, 0.0, eigenvalues)
@@ -221,18 +212,14 @@ class Observable(_Value):
         """Unitary with the effect eigenvectors as columns, outcome order.
 
         Defined only when every effect is a rank-1 orthogonal projector;
-        None otherwise.
+        None otherwise.  A Hermitian effect is one exactly when its
+        ascending spectrum is (0, ..., 0, 1), so one batched eigh decides
+        sharpness and gives the columns.
         """
-        columns = []
-        for eff in self.effects:
-            mat = eff.matrix
-            if np.max(np.abs(mat @ mat - mat)) > ROUNDOFF_TOL:
-                return None
-            if abs(np.trace(mat).real - 1.0) > ROUNDOFF_TOL:
-                return None
-            _eigenvalues, vectors = np.linalg.eigh(mat)
-            columns.append(vectors[:, -1])
-        return _read_only(np.column_stack(columns))
+        eigenvalues, vectors = np.linalg.eigh(self._matrices)
+        if np.abs(eigenvalues - np.eye(self.dim)[-1]).max() > ROUNDOFF_TOL:
+            return None
+        return _read_only(vectors[..., -1].T.copy())
 
     def is_sharp(self) -> bool:
         """True when every effect is a rank-1 orthogonal projector."""

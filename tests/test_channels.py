@@ -163,6 +163,12 @@ class TestOutcomeDistribution:
         assert dist.probability_of(-1.0) == pytest.approx(0.835, abs=1e-12)
         assert dist.probability_of(+1.0) == pytest.approx(0.165, abs=1e-12)
 
+    def test_variance_below_the_round_off_floor_raises(self):
+        # The constructor accepts a sum off by up to 1e-10; the variance of
+        # this one evaluates below -1e-12.
+        with pytest.raises(ValueError, match="variance evaluated to"):
+            OutcomeDistribution((-1, 1), [0, 1 + 1e-11]).variance()
+
     def test_unknown_value_names_the_value_and_the_outcomes(self):
         dist = OutcomeDistribution((-1.0, 1.0), [0.5, 0.5])
         with pytest.raises(ValueError, match=r"^2\.0 is not one of the outcomes \(-1\.0, 1\.0\)$"):
@@ -298,6 +304,13 @@ class TestWitness:
     def test_unsharp_basis_rejected(self, rng):
         with pytest.raises(ValueError, match="sharp|projector"):
             measurement_coherence_witness(observable_x(), diagonal_povm(rng))
+
+    def test_identity_and_zero_are_not_a_basis(self):
+        # Both effects are projectors, but the identity has rank 2.
+        whole = Observable(((0.0, Effect(np.eye(2))), (1.0, Effect(np.zeros((2, 2))))))
+        assert not whole.is_sharp()
+        with pytest.raises(ValueError, match="rank-1 orthogonal projectors"):
+            measurement_coherence_witness(observable_x(), whole)
 
     def test_zero_witness_implies_zero_violation(self, rng):
         # diagonal second measurements admit a classical model: delta_v

@@ -465,6 +465,37 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: count record is empty")
 
+    def test_sampling_failing_past_the_first_block_leaves_no_file(self, tmp_path, capsys):
+        # Three engine blocks of this grid are written before a setting
+        # draws no counts in the fourth.  A file the sweep overwrote goes.
+        out = tmp_path / "x.csv"
+        out.write_text("old rows\n")
+        code = run_main(["simulate", "--a1-steps", 300, "--theta-steps", 300, "--flux", 11,
+                         "--seed", 0, "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: count record is empty")
+        assert not out.exists()
+
+    # Two rows of 8200 points, each an engine block; the second draws an
+    # empty count record.
+    LATE_FAILURE = ["simulate", "--a1-steps", 2, "--theta-steps", 8200, "--flux", 11,
+                    "--seed", 0]
+
+    def test_late_failure_keeps_the_null_device(self, capsys):
+        assert run_main(self.LATE_FAILURE + ["--out", os.devnull]) == 1
+        assert capsys.readouterr().err.startswith("error: count record is empty")
+        assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+    def test_late_failure_keeps_a_link_and_its_target(self, tmp_path, capsys):
+        # As /dev/stdout is a link, a path that names the output through
+        # one is never removed.
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("")
+        link.symlink_to(target)
+        assert run_main(self.LATE_FAILURE + ["--out", link]) == 1
+        assert capsys.readouterr().err.startswith("error: count record is empty")
+        assert link.is_symlink() and target.is_file()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -603,6 +634,10 @@ class TestSpecValidation:
     def test_rejects_bad_format(self):
         with pytest.raises(ValueError, match="format"):
             SweepSpec(axis1="p", fmt="xml")
+
+    def test_rejects_reversed_theta_range(self):
+        with pytest.raises(ValueError, match="theta range must satisfy min < max"):
+            SweepSpec(axis1="p", theta_min_deg=90.0, theta_max_deg=10.0)
 
     def test_rejects_nonpositive_flux(self):
         with pytest.raises(ValueError, match="flux"):

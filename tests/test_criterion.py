@@ -148,6 +148,15 @@ class TestDeltaV:
             CriterionReport(math.nan, math.nan, math.nan, trace_norm_sq=0.0, witness=0.0)
 
 
+class TestVarianceFloor:
+    def test_state_at_the_eigenvalue_tolerance_gives_a_negative_variance(self):
+        # QState accepts eigenvalues down to -1e-10; the variance on this
+        # one falls below the -1e-12 round-off floor, and delta_v says so.
+        state = QState(np.diag([1 + 5e-11, -5e-11]))
+        with pytest.raises(ValueError, match="variance evaluated to"):
+            delta_v(state, observable_x(), observable_x())
+
+
 @pytest.mark.filterwarnings("error")
 class TestOverflow:
     """Outcome values whose squares overflow raise a ValueError that says

@@ -409,6 +409,10 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="finite"):
             CountRecord((-1.0, math.nan), [3, 4], 10.0)
 
+    def test_one_count_per_outcome_value_required(self):
+        with pytest.raises(ValueError, match="one count per outcome value required"):
+            CountRecord((-1, 1), [1, 2, 3], 1.0)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CountRecord((-1.0, +1.0), np.array([-1, 2]), 10.0)

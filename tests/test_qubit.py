@@ -235,6 +235,44 @@ class TestPsdSqrt:
             Effect(np.diag([-0.2, 1.0]))
 
 
+def random_projectors(dim: int, seed: int) -> list[np.ndarray]:
+    """The rank-1 projectors of a random orthonormal basis of C^dim."""
+    g = np.random.default_rng(seed).normal(size=(2, dim, dim))
+    q, r = np.linalg.qr(g[0] + 1j * g[1])
+    return [np.outer(q[:, k], q[:, k].conj()) for k in range(dim)]
+
+
+def observable_of(matrices) -> Observable:
+    return Observable(tuple((float(k), Effect(m)) for k, m in enumerate(matrices)))
+
+
+class TestSharpness:
+    """An observable is sharp when every effect is a rank-1 projector, and
+    then sharp_basis holds the effects' eigenvectors in outcome order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_random_basis_is_sharp_and_diagonalized_by_its_columns(self, dim, seed):
+        basis = observable_of(random_projectors(dim, seed))
+        assert basis.is_sharp()
+        columns = basis.sharp_basis
+        for k, effect in enumerate(basis.effects):
+            in_basis = columns.conj().T @ effect.matrix @ columns
+            np.testing.assert_allclose(in_basis, np.diag(np.eye(dim)[k]), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_rank_two_or_moved_eigenvalues_decide_by_the_spectrum(self, dim, seed):
+        first, second, *rest = random_projectors(dim, seed)
+        assert not observable_of([first + second, *rest]).is_sharp()
+        # The first two effects trade weight `offset`, so their eigenvalues
+        # sit `offset` away from 0 and 1.
+        for offset, sharp in ((1e-8, False), (1e-13, True)):
+            moved = [(1.0 - offset) * first + offset * second,
+                     offset * first + (1.0 - offset) * second, *rest]
+            assert observable_of(moved).is_sharp() is sharp
+
+
 class TestTraceNormDistance:
     def test_zero_on_equal_states(self):
         state = make_state(0.3, 0.5)
@@ -358,6 +396,12 @@ class TestValidation:
     def test_negative_state_rejected(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             QState(np.array([[1.2, 0.0], [0.0, -0.2]]))
+
+    @pytest.mark.parametrize("build", [lambda: QState(np.ones((2, 3))),
+                                       lambda: Effect(np.ones(3))], ids=["state", "effect"])
+    def test_matrix_must_be_square(self, build):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            build()
 
     def test_effect_spectrum_capped_at_one(self):
         with pytest.raises(ValueError, match="spectrum"):
