@@ -19,14 +19,13 @@ reads the fixed value of the axis it sweeps (--gamma with --axis1 gamma,
 Angles are accepted in degrees and converted internally.  Each sweep
 computes its grid in engine blocks of up to 16384 points, each a
 rectangle of the grid (whole theta rows, or a piece of one longer row),
-and writes each block as it finishes.  What depends on the state alone,
-the dephased state, the squared trace distance and the gated signals, is
-computed once per sweep, for every axis value before the first block,
-and broadcast over theta.  Applying the gate there is also its check.
-Each block reaches the writer as its columns in the shapes they were
-computed in: one entry per axis value, per theta, or per point.  The
-writer formats a column broadcast over the block once per block, by its
-shape, and every other column cell by cell.  Sampling uses one generator
+and writes each block as it finishes.  What depends on the state alone
+is computed once per sweep, for every axis value before the first block,
+and broadcast over theta: the dephased state rho' (the family state with
+its coherence set to zero), ||rho - rho'||_1 (twice the coherence's
+magnitude, so no sweep calls numpy.linalg) and the gated signals.
+Applying the gate there is also its check.  The writer formats a column
+broadcast over a block once per block.  Sampling uses one generator
 per sweep, seeded by --seed and drawn in grid order, so output is
 byte-identical for identical arguments and does not depend on the block
 size.
@@ -45,7 +44,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .channels import _checked_probabilities, _luders
+from .channels import _checked_probabilities
 from .photonics import (
     _METER_V,
     GateParams,
@@ -60,9 +59,7 @@ from .qubit import (
     _born,
     _family_states,
     _tilted_effects,
-    _trace_norm,
     _variances,
-    observable_x,
 )
 
 @dataclass(frozen=True)
@@ -130,12 +127,6 @@ CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
 _OUTCOME_VALUES = np.array([-1.0, +1.0])
 
 
-@functools.cache
-def _x_channel() -> np.ndarray:
-    """Lueders matrix of the x-observable, built once per process."""
-    return observable_x()._channel
-
-
 _ENGINE_POINTS = 16384  # grid points per engine block
 
 
@@ -150,8 +141,9 @@ def _grid_rows(
     longer than _ENGINE_POINTS.  A block of a axis values by w angles is
     yielded as the columns of CSV_FIELDS in the shapes they broadcast
     from: axis1 and trdist_sq (a, 1), theta (w,) and the rest (a, w).
-    Everything that depends on the state alone is computed once per sweep
-    and broadcast over theta.  One
+    The head computes what depends on the state alone once per sweep from
+    the qubit family's own parameters, and broadcasts it over theta; the
+    tail (Born passes, Poisson draw, estimator) is dimension-generic.  One
     generator seeded by spec.seed draws the counts block after block in
     grid order, which gives the counts of one draw over the whole grid.
     """
@@ -161,10 +153,12 @@ def _grid_rows(
     else:
         p = np.full_like(axis_values, PrepConfig(spec.alpha_deg).p)
         gamma = axis_values
-    # SweepSpec has range-checked p and gamma.
-    states = _family_states(p, np.sqrt(p * (1.0 - p)) * gamma)
-    dephased = _luders(states, _x_channel())
-    distance = _trace_norm(states - dephased)
+    # SweepSpec has range-checked p and gamma.  Measuring x and forgetting
+    # the outcome keeps the populations and drops the coherence, so rho' is
+    # the off = 0 state and the eigenvalues of rho - rho' are +-|off|.
+    off = np.sqrt(p * (1.0 - p)) * gamma
+    states, dephased = _family_states(p, off), _family_states(p, 0.0)
+    distance = 2.0 * np.abs(off)
     trdist_sq = distance * distance
     # The gate depends on the state but not on theta: it is applied here
     # once per (axis value, meter mode), which is also its check, so a gate

@@ -218,10 +218,13 @@ def law_of_total_variance_decomposition(
     masses = x_mass[live]
     conditionals = joint.table[live] / masses[:, None]
     y_values = np.asarray(joint.y_values)
-    cond_means = conditionals @ y_values
     expected_cond_var = float(masses @ _variances(conditionals, y_values))
-    overall = float(masses @ cond_means)
-    var_of_means = float(masses @ (cond_means - overall) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond_means = conditionals @ y_values
+        overall = float(masses @ cond_means)
+        var_of_means = float(masses @ (cond_means - overall) ** 2)
+    if not math.isfinite(var_of_means):
+        raise ValueError("outcome values too large: the variance of the means overflows")
     return expected_cond_var, var_of_means
 
 

@@ -152,6 +152,8 @@ class CountRecord(_Value):
         counts = _read_only(given.astype(np.int64))
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
+        if sum(counts.tolist()) >= 2**63:  # Python integers do not wrap
+            raise ValueError("counts must sum to less than 2**63")
         values = _check_outcome_values(self.values)
         if counts.shape != (len(values),):
             raise ValueError("one count per outcome value required")

@@ -25,10 +25,11 @@ from measurement_coherence import (
     observable_y,
 )
 from measurement_coherence import cli, photonics
+from measurement_coherence.channels import _luders
+from measurement_coherence.qubit import _family_states, _trace_norm
 from measurement_coherence.cli import (
     _FLAGS,
     _stream_rows,
-    _x_channel,
     CSV_FIELDS,
     SweepSpec,
     build_parser,
@@ -278,11 +279,38 @@ class TestEngineBlocks:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
-    def test_x_channel_is_built_once_and_observable_x_stays_fresh(self):
-        assert _x_channel() is _x_channel()
-        np.testing.assert_array_equal(_x_channel(), observable_x()._channel)
-        assert observable_x() is not observable_x()
-        assert not _x_channel().flags.writeable
+    def test_sweeps_make_no_linalg_call(self, monkeypatch):
+        # The head builds rho' and ||rho - rho'||_1 from the family's own
+        # parameters, so no sweep's bytes depend on the LAPACK build.
+        calls = []
+        for name in ("eigvalsh", "eigh", "eig"):
+            def recorded(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        for command in cli._COMMANDS:
+            assert run_main([command, "--out", os.devnull]) == 0
+        assert calls == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(0.0, 1.0), gamma=st.floats(-1.0, 1.0))
+    @example(p=0.0, gamma=1.0)
+    @example(p=1.0, gamma=-1.0)
+    @example(p=0.5, gamma=1.0)
+    @example(p=0.5, gamma=-1.0)
+    @example(p=0.5, gamma=-0.0)
+    @example(p=5e-324, gamma=1.0)
+    def test_head_matches_the_lueders_channel_and_eigvalsh(self, p, gamma):
+        # The head's rho' is the generic Lueders output bit for bit, and its
+        # 2|off| is the eigvalsh trace norm of rho - rho' to round-off.
+        p = np.array([p])
+        off = np.sqrt(p * (1.0 - p)) * gamma
+        states, dephased = _family_states(p, off), _family_states(p, 0.0)
+        assert dephased.tobytes() == _luders(states, observable_x()._channel).tobytes()
+        distance = 2.0 * np.abs(off)
+        np.testing.assert_array_max_ulp(
+            distance * distance, _trace_norm(states - dephased) ** 2, maxulp=4)
 
 
 class TestSweepPure:

@@ -183,6 +183,13 @@ class TestOverflow:
         with pytest.raises(ValueError, match="overflow"):
             OutcomeDistribution((0.0, 1e200), [0.5, 0.5]).variance()
 
+    def test_law_of_total_variance_decomposition(self):
+        # the y-marginal variance, 3.996e305, fits; the conditional means'
+        # squared deviations do not
+        joint = JointDistribution((0.0, 1.0), (-1e154, 1e154), [[1e-3, 0.0], [0.0, 0.999]])
+        with pytest.raises(ValueError, match="overflow"):
+            law_of_total_variance_decomposition(joint)
+
     def test_large_values_that_fit_scale_as_their_square(self):
         unit = delta_v(self.state, observable_x(), scaled_second(1.0, (0.0, 1.0)))
         large = delta_v(self.state, observable_x(), scaled_second(1.0, (0.0, 1e100)))

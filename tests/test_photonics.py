@@ -435,6 +435,12 @@ class TestSampleCounts:
         record = CountRecord((-1.0, +1.0), np.array([2**63 - 1, 0]), 1.0)
         assert record.counts[0] == 2**63 - 1
 
+    @pytest.mark.parametrize("counts", [[6 * 10**18, 4 * 10**18], [2**63 - 1, 1]])
+    def test_counts_summing_past_int64_rejected(self, counts):
+        # the estimator totals the counts in int64, where the sum would wrap
+        with pytest.raises(ValueError, match=r"counts must sum to less than 2\*\*63"):
+            CountRecord((-1, 1), counts, 1.0)
+
 
 class TestEstimateDeltaV:
     def test_plugin_consistency_with_exact_counts(self):

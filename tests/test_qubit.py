@@ -150,6 +150,10 @@ class TestObservableX:
             for eff_b in observable_y(0.0).effects:
                 assert commutator_norm(eff_a, eff_b) <= 1e-15
 
+    def test_each_call_builds_a_fresh_observable(self):
+        assert observable_x() is not observable_x()
+        assert not observable_x()._channel.flags.writeable
+
 
 class TestExpectation:
     def test_eigenstate(self):
