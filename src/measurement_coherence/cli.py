@@ -21,10 +21,14 @@ computes its grid in engine blocks of up to 16384 points, each a
 rectangle of the grid (whole theta rows, or a piece of one longer row),
 and writes each block as it finishes.  What depends on the state alone
 is computed once per sweep, for every axis value before the first block,
-and broadcast over theta: the dephased state rho' (the family state with
-its coherence set to zero), ||rho - rho'||_1 (twice the coherence's
-magnitude, so no sweep calls numpy.linalg) and the gated signals.
-Applying the gate there is also its check.  The writer formats a column
+and broadcast over theta: the coherence off of each family state,
+||rho - rho'||_1 (twice the coherence's magnitude, so no sweep calls
+numpy.linalg) and the gated signals.  Applying the gate there is also its
+check.  The analyzer effects are built per block, from that block's
+angles.  The analytic column of sweep-pure, sweep-mixed and max-violation
+is the family's closed form for delta_v (criterion._family_delta_v), so
+no sweep builds the dephased state rho' or runs a second Born pass; that
+of simulate is the gate model's own prediction.  The writer formats a column
 broadcast over a block once per block.  Sampling uses one generator
 per sweep, seeded by --seed and drawn in grid order, so output is
 byte-identical for identical arguments and does not depend on the block
@@ -45,6 +49,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .channels import _checked_probabilities
+from .criterion import _family_delta_v
 from .photonics import (
     _METER_V,
     GateParams,
@@ -88,9 +93,10 @@ class SweepSpec:
             raise ValueError("grids need at least 2 steps per axis")
         if not self.a1_min < self.a1_max:
             raise ValueError("axis range must satisfy min < max")
-        if not (math.isfinite(self.theta_min_deg) and math.isfinite(self.theta_max_deg)):
+        # The span is finite only when both bounds are; np.linspace needs it.
+        if not math.isfinite(self.theta_max_deg - self.theta_min_deg):
             raise ValueError(
-                f"theta range [{self.theta_min_deg}, {self.theta_max_deg}] must be finite"
+                f"theta range [{self.theta_min_deg}, {self.theta_max_deg}] must have a finite span"
             )
         if not self.theta_min_deg < self.theta_max_deg:
             raise ValueError("theta range must satisfy min < max")
@@ -142,10 +148,13 @@ def _grid_rows(
     yielded as the columns of CSV_FIELDS in the shapes they broadcast
     from: axis1 and trdist_sq (a, 1), theta (w,) and the rest (a, w).
     The head computes what depends on the state alone once per sweep from
-    the qubit family's own parameters, and broadcasts it over theta; the
-    tail (Born passes, Poisson draw, estimator) is dimension-generic.  One
-    generator seeded by spec.seed draws the counts block after block in
-    grid order, which gives the counts of one draw over the whole grid.
+    the qubit family's own parameters, and broadcasts it over theta.  Each
+    block builds the analyzer effects of its own angles; its analytic
+    column is the family's closed form for delta_v, or with
+    gate_model_analytic the gate model's own noise-free prediction.  The
+    tail (gated Born pass, Poisson draw, estimator) is dimension-generic.
+    One generator seeded by spec.seed draws the counts block after block
+    in grid order, which gives the counts of one draw over the whole grid.
     """
     axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
     if spec.axis1 == "p":
@@ -154,34 +163,31 @@ def _grid_rows(
         p = np.full_like(axis_values, PrepConfig(spec.alpha_deg).p)
         gamma = axis_values
     # SweepSpec has range-checked p and gamma.  Measuring x and forgetting
-    # the outcome keeps the populations and drops the coherence, so rho' is
-    # the off = 0 state and the eigenvalues of rho - rho' are +-|off|.
+    # the outcome keeps the populations and drops the coherence, so the
+    # eigenvalues of rho - rho' are +-|off| and ||rho - rho'||_1 = 2|off|.
     off = np.sqrt(p * (1.0 - p)) * gamma
-    states, dephased = _family_states(p, off), _family_states(p, 0.0)
-    distance = 2.0 * np.abs(off)
-    trdist_sq = distance * distance
+    states = _family_states(p, off)
+    trdist_sq = 4.0 * off * off
     # The gate depends on the state but not on theta: it is applied here
     # once per (axis value, meter mode), which is also its check, so a gate
     # that fails on some grid point fails before any block is yielded.
     signals = _gated_signals(states[:, None], spec.gate, _METER_V)
-    theta_effects = _tilted_effects(np.radians(theta_deg))
+    radians = np.radians(theta_deg)
     rng = np.random.default_rng(spec.seed)
     steps = len(theta_deg)
     rows, width = max(_ENGINE_POINTS // steps, 1), min(steps, _ENGINE_POINTS)
     for a, t in itertools.product(range(0, len(axis_values), rows), range(0, steps, width)):
         axis, cut = slice(a, a + rows), slice(t, t + width)
-        effects = theta_effects[None, cut]
+        angles = radians[cut]
         probabilities = _checked_probabilities(  # (axis, theta, meter mode, outcome)
-            _born(signals[axis, None], effects[:, :, None])
+            _born(signals[axis, None], _tilted_effects(angles)[None, :, None])
         )
         if gate_model_analytic:  # the gate model's own noise-free prediction
             v_gated = _variances(probabilities, _OUTCOME_VALUES)
             analytic = v_gated[..., 1] - v_gated[..., 0]
         else:
-            pair = np.array((states[axis], dephased[axis]))
-            runs = _born(pair[:, :, None], effects)  # (run, axis, theta, outcome)
-            v_direct, v_dephased = _variances(runs, _OUTCOME_VALUES)
-            analytic = v_dephased - v_direct
+            analytic = _family_delta_v(p[axis, None], off[axis, None], np.cos(angles),
+                                       np.sin(angles))
         counts = _poisson_counts(rng, spec.flux, probabilities)
         sampled, std_err = _estimate_delta_v(counts)
         z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
@@ -296,15 +302,21 @@ def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:
 def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
     """Violation at the maximally incompatible analysis angle (90 degrees).
 
-    Sweeps p at fixed gamma, or gamma at fixed p = 1/2; the analytic
-    violation column equals the squared trace distance column here.
+    Sweeps p at fixed gamma, or gamma at p = 1/2: on the gamma axis it
+    sets alpha_deg = 22.5 whatever the spec holds, and it ignores the theta
+    fields.  The analytic violation column equals the squared trace
+    distance column here, to round-off.
     """
     return _emit(spec, _max_violation_rows(spec))
 
 
 def cmd_simulate(spec: SweepSpec) -> list[SweepRecord]:
     """Full photonic Monte Carlo; the analytic column is the gate model's own
-    noise-free prediction, so sampled vs analytic isolates shot noise."""
+    noise-free prediction, so sampled vs analytic isolates shot noise.
+
+    The gate is spec.gate: the ideal GateParams() unless the spec names
+    another, whereas the simulate subcommand defaults to MEASURED_GATE.
+    """
     return _emit(spec, _simulate_rows(spec))
 
 

@@ -197,11 +197,24 @@ def analytic_variance_perturbed(p: float, theta: float) -> float:
     return 1.0 - (1.0 - 2.0 * p) ** 2 * cos * cos
 
 
+def _family_delta_v(p, off, cos, sin):
+    """delta_v of y(theta) on the family state with population p and
+    coherence off, from cos(theta) and sin(theta); floats or arrays that
+    broadcast.
+
+    The mean of y is m = (2p - 1) cos + 2 off sin on rho and m' = (2p - 1) cos
+    on rho', so delta_v = m^2 - m'^2 = (m - m')(m + m').  The factored form
+    keeps a small violation that 1 - m'^2 - (1 - m^2) would round away.  The
+    + 0.0 turns -0.0 into 0.0.
+    """
+    return 4.0 * off * sin * ((2.0 * p - 1.0) * cos + off * sin) + 0.0
+
+
 def analytic_delta_v(p: float, gamma: float, theta: float) -> float:
     """Closed-form violation: perturbed minus unperturbed variance."""
-    return analytic_variance_perturbed(p, theta) - analytic_variance_unperturbed(
-        p, gamma, theta
-    )
+    _check_family_params(p, gamma)
+    _check_finite("angle theta", theta)
+    return _family_delta_v(p, math.sqrt(p * (1.0 - p)) * gamma, math.cos(theta), math.sin(theta))
 
 
 def law_of_total_variance_decomposition(

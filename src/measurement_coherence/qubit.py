@@ -20,8 +20,7 @@ through the private _Value._trusted.  The family state has two builders
 with the same bytes: _family_state builds one matrix from Python scalars
 in a single array call (make_state, photonics.prepare_signal), and
 _family_states is the stacked kernel that builds every axis state of a
-CLI sweep at once, rho and, with the coherence set to zero, its
-dephased rho'.  Matrices that carry round-off, such as the outputs
+CLI sweep at once.  Matrices that carry round-off, such as the outputs
 of luders_channel, post_measurement_state and gate_channel, always go
 through the checked constructors.  Intermediates that never leave a
 function, such as the difference rho - rho' inside delta_v and the P/P'

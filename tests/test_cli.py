@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from measurement_coherence import (
     PERTURBED,
     UNPERTURBED,
     GateParams,
+    analytic_delta_v,
     delta_v,
     make_state,
     observable_x,
@@ -26,7 +28,8 @@ from measurement_coherence import (
 )
 from measurement_coherence import cli, photonics
 from measurement_coherence.channels import _luders
-from measurement_coherence.qubit import _family_states, _trace_norm
+from measurement_coherence.qubit import (
+    _born, _family_states, _tilted_effects, _trace_norm, _variances)
 from measurement_coherence.cli import (
     _FLAGS,
     _stream_rows,
@@ -52,6 +55,12 @@ def read_csv(path):
 
 def run_main(args):
     return main([str(a) for a in args])
+
+
+def _axis_range(axis1):
+    low = 0.0 if axis1 == "p" else -1.0
+    bounds = st.lists(st.floats(low, 1.0), min_size=2, max_size=2, unique=True)
+    return bounds.map(sorted)
 
 
 class TestSchema:
@@ -279,9 +288,29 @@ class TestEngineBlocks:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    @pytest.mark.parametrize("command", ["sweep-pure", "simulate"])
+    def test_memory_is_flat_in_theta(self, command, monkeypatch):
+        # The analyzer effects are built per block: beyond the angles
+        # themselves, in degrees and radians (16 B each), a longer theta
+        # row costs no memory.
+        monkeypatch.setattr(cli, "_ENGINE_POINTS", 2000)
+        peaks = []
+        for steps in (40000, 80000):
+            spec = SweepSpec(axis1=cli._COMMANDS[command][1][0], a1_steps=2, theta_steps=steps)
+            rows = cli._COMMANDS[command][0]
+            assert sum(1 for _ in rows(spec)) == 2 * steps // 2000  # caches stay out of the peak
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in rows(spec)) == 2 * steps // 2000
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 32 * 40000
+
     def test_sweeps_make_no_linalg_call(self, monkeypatch):
-        # The head builds rho' and ||rho - rho'||_1 from the family's own
-        # parameters, so no sweep's bytes depend on the LAPACK build.
+        # The head takes ||rho - rho'||_1, and the sweeps their analytic
+        # column, from the family's own parameters, so no sweep's bytes
+        # depend on the LAPACK build.
         calls = []
         for name in ("eigvalsh", "eigh", "eig"):
             def recorded(*args, _name=name, _kernel=getattr(np.linalg, name), **kwargs):
@@ -302,15 +331,51 @@ class TestEngineBlocks:
     @example(p=0.5, gamma=-0.0)
     @example(p=5e-324, gamma=1.0)
     def test_head_matches_the_lueders_channel_and_eigvalsh(self, p, gamma):
-        # The head's rho' is the generic Lueders output bit for bit, and its
-        # 2|off| is the eigvalsh trace norm of rho - rho' to round-off.
+        # The head's 2|off| is the eigvalsh trace norm of rho - rho' to
+        # round-off, with rho' the generic Lueders output.
         p = np.array([p])
         off = np.sqrt(p * (1.0 - p)) * gamma
-        states, dephased = _family_states(p, off), _family_states(p, 0.0)
-        assert dephased.tobytes() == _luders(states, observable_x()._channel).tobytes()
+        states = _family_states(p, off)
+        dephased = _luders(states, observable_x()._channel)
         distance = 2.0 * np.abs(off)
         np.testing.assert_array_max_ulp(
             distance * distance, _trace_norm(states - dephased) ** 2, maxulp=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p_range=_axis_range("p"), gamma=st.floats(-1.0, 1.0),
+           theta_deg=st.floats(-360.0, 360.0))
+    @example(p_range=[0.0, 1.0], gamma=1.0, theta_deg=90.0)
+    @example(p_range=[0.0, 1.0], gamma=-1.0, theta_deg=-360.0)
+    @example(p_range=[0.5, 1.0], gamma=1.0, theta_deg=45.0)
+    @example(p_range=[0.5, 1.0], gamma=-0.0, theta_deg=180.0)
+    @example(p_range=[5e-324, 1e-34], gamma=1.0, theta_deg=57.29577951308232)
+    @example(p_range=[0.9999999999999999, 1.0], gamma=-1.0, theta_deg=360.0)
+    def test_closed_form_matches_the_lueders_path(self, p_range, gamma, theta_deg):
+        # The sweeps' analytic column and analytic_delta_v against
+        # V(Lueders(rho)) - V(rho) from the x channel, the Born rule and
+        # the variances of y(theta).
+        spec = SweepSpec(axis1="p", a1_min=p_range[0], a1_max=p_range[1], a1_steps=2,
+                         gamma=gamma)
+        theta_deg = np.array([theta_deg])
+        [(axis1, _theta, column, *_rest)] = cli._grid_rows(spec, theta_deg)
+        theta = np.radians(theta_deg)
+        for p, analytic in zip(axis1.ravel().tolist(), column.ravel().tolist()):
+            states = _family_states(np.array(p), math.sqrt(p * (1.0 - p)) * gamma)
+            pair = np.array((states, _luders(states, observable_x()._channel)))
+            v_direct, v_dephased = _variances(_born(pair[:, None], _tilted_effects(theta)),
+                                              np.array([-1.0, 1.0]))[:, 0]
+            reference = v_dephased - v_direct
+            assert abs(analytic - reference) <= 1e-15
+            assert abs(analytic_delta_v(p, gamma, theta[0]) - reference) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep-pure", "--gamma", 0], ["sweep-mixed", "--alpha", 45]])
+    def test_no_cell_reads_negative_zero(self, argv, tmp_path):
+        # Here off = 0, so every analytic_dv is a signed zero of the product.
+        assert run_main(argv + ["--out", tmp_path / "x.csv"]) == 0
+        cells = (tmp_path / "x.csv").read_text().replace("\n", ",").split(",")
+        assert "0.0" in cells
+        assert "-0.0" not in cells
 
 
 class TestSweepPure:
@@ -465,6 +530,16 @@ class TestExitCodes:
             ["sweep-pure", "--a1-min", -0.5, "--a1-max", 0.5, "--out", tmp_path / "x.csv"]
         )
         assert code == 2
+
+    def test_theta_span_that_overflows_is_a_usage_error(self, tmp_path, capsys):
+        # each bound is finite, so only the span check stops NaN angles
+        argv = ["sweep-pure", "--theta-min=-1e308", "--theta-max=1e308",
+                "--out", tmp_path / "x.csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage error: theta range")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_output_is_a_runtime_error(self, tmp_path):
         code = run_main(
@@ -663,6 +738,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="format"):
             SweepSpec(axis1="p", fmt="xml")
 
+    def test_rejects_theta_range_whose_span_overflows(self):
+        # both bounds are finite, but np.linspace would give NaN angles
+        with pytest.raises(ValueError, match="theta range .* must have a finite span"):
+            SweepSpec(axis1="p", theta_min_deg=-1e308, theta_max_deg=1e308)
+
     def test_rejects_reversed_theta_range(self):
         with pytest.raises(ValueError, match="theta range must satisfy min < max"):
             SweepSpec(axis1="p", theta_min_deg=90.0, theta_max_deg=10.0)
@@ -679,12 +759,6 @@ class TestSpecValidation:
     def test_simulate_rejects_gamma_outside_domain(self, tmp_path):
         with pytest.raises(ValueError, match="gamma"):
             cmd_simulate(SweepSpec(axis1="p", gamma=1.5, out=str(tmp_path / "x.csv")))
-
-
-def _axis_range(axis1):
-    low = 0.0 if axis1 == "p" else -1.0
-    bounds = st.lists(st.floats(low, 1.0), min_size=2, max_size=2, unique=True)
-    return bounds.map(sorted)
 
 
 class TestEngineMatchesObjectPath:

@@ -368,6 +368,12 @@ class TestAnalyticForms:
         # below-balanced populations with a small tilt give a negative violation
         assert analytic_delta_v(0.165, 1.0, math.radians(36.0)) < -0.28
 
+    def test_tiny_coherence_keeps_its_sign(self):
+        # 1 - m'^2 minus 1 - m^2 rounds this to 0.0; the factored form keeps it
+        expected = -4e-17 * math.sin(1.0) * math.cos(1.0)
+        assert analytic_delta_v(1e-34, 1.0, 1.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert math.copysign(1.0, analytic_delta_v(1.0, 0.0, 2.0)) == 1.0  # not -0.0
+
 
 class TestDecomposition:
     def test_product_distribution_has_no_mean_spread(self):
