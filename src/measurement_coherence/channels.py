@@ -45,7 +45,9 @@ def _checked_probabilities(probabilities) -> np.ndarray:
     if not lowest >= -CONSTRUCTION_TOL:
         raise ValueError(f"negative probability {lowest}")
     probs = probs.clip(0.0, None)
-    sums = probs.sum(axis=-1)
+    # numpy also sums two entries as p0 + p1; written out, the sum of a
+    # two-outcome stack skips the per-row cost of reducing a short axis.
+    sums = probs[..., 0] + probs[..., 1] if probs.shape[-1] == 2 else probs.sum(axis=-1)
     worst = abs(sums - 1.0).argmax()
     if not abs(float(sums.flat[worst]) - 1.0) <= ROUNDOFF_TOL:
         raise ValueError(f"probabilities sum to {sums.flat[worst]}")

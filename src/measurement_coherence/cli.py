@@ -25,11 +25,15 @@ and broadcast over theta: the coherence off of each family state,
 ||rho - rho'||_1 (twice the coherence's magnitude, so no sweep calls
 numpy.linalg) and the gated signals.  Applying the gate there is also its
 check.  The analyzer effects are built per block, from that block's
-angles.  The analytic column of sweep-pure, sweep-mixed and max-violation
+angles, and the Born rule meets the block's signals with all of them as
+one stack in one einsum, without broadcast axes or a BLAS call.  The
+analytic column of sweep-pure, sweep-mixed and max-violation
 is the family's closed form for delta_v (criterion._family_delta_v), so
 no sweep builds the dephased state rho' or runs a second Born pass; that
-of simulate is the gate model's own prediction.  The writer formats a column
-broadcast over a block once per block.  Sampling uses one generator
+of simulate is the gate model's own prediction.  The writer writes each
+chunk of rows as one join of the row template's pieces and the cells'
+repr texts, and formats a column broadcast over a block once per block.
+Sampling uses one generator
 per sweep, seeded by --seed and drawn in grid order, so output is
 byte-identical for identical arguments and does not depend on the block
 size.
@@ -179,9 +183,11 @@ def _grid_rows(
     for a, t in itertools.product(range(0, len(axis_values), rows), range(0, steps, width)):
         axis, cut = slice(a, a + rows), slice(t, t + width)
         angles = radians[cut]
-        probabilities = _checked_probabilities(  # (axis, theta, meter mode, outcome)
-            _born(signals[axis, None], _tilted_effects(angles)[None, :, None])
-        )
+        # (axis, meter mode) signals against the (theta, outcome) effects,
+        # read as (axis, theta, meter mode, outcome): grid order for the draw.
+        probabilities = _checked_probabilities(
+            _born(signals[axis], _tilted_effects(angles).reshape(-1, 2, 2))
+            .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
         if gate_model_analytic:  # the gate model's own noise-free prediction
             v_gated = _variances(probabilities, _OUTCOME_VALUES)
             analytic = v_gated[..., 1] - v_gated[..., 0]
@@ -221,44 +227,46 @@ _JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_FIELDS) + "
 _BLOCK_ROWS = 256
 
 
-def _row_texts(columns: tuple[np.ndarray, ...]) -> Iterator[Iterator[tuple[str, ...]]]:
-    """The repr texts of the cells of one engine block, one iterator of row
-    tuples per _BLOCK_ROWS rows.
-
-    The rows are those of the columns broadcast together.  A column with
-    one entry per row is formatted as it is written; a smaller one formats
-    each of its entries once, and its texts are broadcast over the block.
-    """
-    block = np.broadcast(*columns)
-    shape, size = block.shape, block.size
-    cells = []  # (entries in row order, whether they are texts already) per column
-    for column in columns:
-        if column.size == size:
-            cells.append((column.reshape(-1), False))
-        else:
-            texts = np.array(list(map(repr, column.ravel().tolist())), dtype=object)
-            cells.append((np.broadcast_to(texts.reshape(column.shape), shape).flat, True))
-    for start in range(0, size, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        yield zip(*(entries[start:stop].tolist() if is_text
-                    else map(repr, entries[start:stop].tolist()) for entries, is_text in cells))
-
-
 def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> None:
     """Write the rows of each engine block, _BLOCK_ROWS at a time: CSV with
     a header line, or JSON with the bytes json.dumps(records, indent=2) and
-    a final newline would give."""
+    a final newline would give.
+
+    The rows are those of a block's columns broadcast together.  Each chunk
+    of rows is one join of a list that repeats a row's pieces, the
+    template's literals with a slot for each cell, and is written once.  A
+    column with one entry per row fills its slots with the reprs of the
+    chunk's entries; a smaller one formats each of its entries once per
+    block, and its texts are broadcast over the block.
+    """
     if fmt == "csv":
         head, template, separator, tail = ",".join(CSV_FIELDS) + "\n", _CSV_ROW, "\n", "\n"
     else:
         head, template, separator, tail = "[\n", _JSON_ROW, ",\n", "\n]\n"
+    literals = template.split("%s")
+    row = [separator + literals[0]] + [None] * (2 * len(CSV_FIELDS))
+    row[2::2] = literals[1:]
+    stride = len(row)
     handle.write(head)
-    lead = ""
+    lead = literals[0]  # the first row of the output has no separator
     for columns in blocks:
-        for texts in _row_texts(columns):
-            handle.write(lead)
-            handle.write(separator.join([template % row for row in texts]))
-            lead = separator
+        block = np.broadcast(*columns)
+        shape, size = block.shape, block.size
+        cells = []  # (entries in row order, whether they are texts already) per column
+        for column in columns:
+            if column.size == size:
+                cells.append((column.reshape(-1), False))
+            else:
+                texts = np.array(list(map(repr, column.ravel().tolist())), dtype=object)
+                cells.append((np.broadcast_to(texts.reshape(column.shape), shape).flat, True))
+        for start in range(0, size, _BLOCK_ROWS):
+            chunk = row * min(_BLOCK_ROWS, size - start)
+            for slot, (entries, is_text) in enumerate(cells):
+                part = entries[start:start + _BLOCK_ROWS].tolist()
+                chunk[2 * slot + 1::stride] = part if is_text else list(map(repr, part))
+            chunk[0] = lead
+            lead = row[0]
+            handle.write("".join(chunk))
     handle.write(tail)
 
 

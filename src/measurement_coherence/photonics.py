@@ -342,7 +342,7 @@ def _estimate_delta_v(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     estimate is 1 - m^2; propagating independent Poisson fluctuations
     (variance = observed count) gives it the variance 16 m^2 n+ n- / N^3.
     """
-    totals = counts.sum(axis=-1)
+    totals = counts[..., 0] + counts[..., 1]
     if not totals.all():
         raise EstimationError("count record is empty")
     n_minus = counts[..., 0].astype(float)

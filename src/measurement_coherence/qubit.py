@@ -341,10 +341,13 @@ def observable_x() -> Observable:
 def _born(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Born probabilities P[..., y] = tr(rho E_y) as one einsum.
 
-    states has shape (..., d, d) and effects (..., Y, d, d); the leading
-    axes broadcast.
+    states has shape (..., d, d) and effects is one (Y, d, d) stack that
+    every state meets; with no broadcast axes, einsum runs long inner
+    loops.  It sums in the same order as "...ij,...yji->...y" over
+    broadcast stacks, and it makes no BLAS call, so its bytes do not
+    depend on the CPU.
     """
-    return np.einsum("...ij,...yji->...y", states, effects).real
+    return np.einsum("...ij,yji->...y", states, effects).real
 
 
 def _variance_floor(mean_sq):

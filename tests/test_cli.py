@@ -362,8 +362,8 @@ class TestEngineBlocks:
         for p, analytic in zip(axis1.ravel().tolist(), column.ravel().tolist()):
             states = _family_states(np.array(p), math.sqrt(p * (1.0 - p)) * gamma)
             pair = np.array((states, _luders(states, observable_x()._channel)))
-            v_direct, v_dephased = _variances(_born(pair[:, None], _tilted_effects(theta)),
-                                              np.array([-1.0, 1.0]))[:, 0]
+            v_direct, v_dephased = _variances(_born(pair, _tilted_effects(theta[0])),
+                                              np.array([-1.0, 1.0]))
             reference = v_dephased - v_direct
             assert abs(analytic - reference) <= 1e-15
             assert abs(analytic_delta_v(p, gamma, theta[0]) - reference) <= 1e-15

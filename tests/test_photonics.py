@@ -373,6 +373,19 @@ class TestSampleCounts:
             np.testing.assert_array_equal(noisy_counts, exact_counts)
             assert noisy_counts[0, 0] == 0
 
+    def test_draw_follows_the_logical_order_of_the_means(self):
+        # The engine hands its probabilities over as a transposed view of
+        # the Born product, (axis, theta, mode, outcome) over memory laid out
+        # as (axis, mode, theta, outcome): the counts must follow the grid
+        # order, whatever the memory layout.
+        probabilities = np.random.default_rng(3).random((4, 2, 5, 2)).swapaxes(1, 2)
+        assert not probabilities.flags.c_contiguous
+        contiguous = np.ascontiguousarray(probabilities)
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                _poisson_counts(np.random.default_rng(seed), 1e3, probabilities),
+                _poisson_counts(np.random.default_rng(seed), 1e3, contiguous))
+
     def test_flux_must_be_positive(self):
         dist = analyzer_distribution(make_state(0.3, 0.9), 0.8)
         with pytest.raises(ValueError, match="flux"):

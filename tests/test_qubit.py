@@ -23,7 +23,7 @@ from measurement_coherence import (
     trace_norm_distance,
     variance,
 )
-from measurement_coherence.qubit import _family_states, _qubit_trace_norm, _trace_norm
+from measurement_coherence.qubit import _born, _family_states, _qubit_trace_norm, _trace_norm
 from conftest import assert_passes_public_checks, random_density
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -211,6 +211,51 @@ class TestVariance:
         second = Observable(((0.0, minus), (1e200, plus)))
         with pytest.raises(ValueError, match="overflow"):
             variance(make_state(0.3, 0.8), second)
+
+
+def random_hermitian(rng: np.random.Generator, shape: tuple, dim: int) -> np.ndarray:
+    """Complex Hermitian matrices (*shape, dim, dim) with entries from 1e-8 to 1e8."""
+    size = shape + (dim, dim)
+    g = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.integers(
+        -8, 9, size)
+    return g + np.swapaxes(g, -1, -2).conj()
+
+
+def broadcast_born(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """The Born rule as the einsum over broadcast stacks that _born replaced."""
+    return np.einsum("...ij,...yji->...y", states, effects).real
+
+
+class TestBornRule:
+    # _born must give the bytes of the broadcast einsum in every caller's
+    # layout, so that no output moves with it.
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 4), outcomes=st.integers(1, 5), stack=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_state_and_a_stack_match_the_broadcast_einsum(self, dim, outcomes, stack, seed):
+        rng = np.random.default_rng(seed)
+        effects = random_hermitian(rng, (outcomes,), dim)
+        states = random_hermitian(rng, (stack,), dim)
+        # One state (outcome_distribution, variance, run_setting); a stack
+        # (sequential_joint's branches, _direct_and_dephased's pair).
+        for rho in (states[0], states):
+            assert np.array_equal(_born(rho, effects), broadcast_born(rho, effects))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 4), axis=st.integers(1, 4), runs=st.integers(1, 3),
+           angles=st.integers(1, 4), outcomes=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_engine_layout_matches_the_broadcast_einsum(
+            self, dim, axis, runs, angles, outcomes, seed):
+        # The engine meets (axis, run) signals with the (angle, outcome)
+        # effects as one stack and reads the product as (axis, angle, run,
+        # outcome).
+        rng = np.random.default_rng(seed)
+        signals = random_hermitian(rng, (axis, runs), dim)
+        effects = random_hermitian(rng, (angles, outcomes), dim)
+        born = _born(signals, effects.reshape(-1, dim, dim))
+        assert np.array_equal(born.reshape(axis, runs, angles, outcomes).swapaxes(1, 2),
+                              broadcast_born(signals[:, None], effects[None, :, None]))
 
 
 class TestPsdSqrt:
