@@ -30,13 +30,13 @@ one stack in one einsum, without broadcast axes or a BLAS call.  The
 analytic column of sweep-pure, sweep-mixed and max-violation
 is the family's closed form for delta_v (criterion._family_delta_v), so
 no sweep builds the dephased state rho' or runs a second Born pass; that
-of simulate is the gate model's own prediction.  The writer writes each
-chunk of rows as one join of the row template's pieces and the cells'
-repr texts, and formats a column broadcast over a block once per block.
-Sampling uses one generator
-per sweep, seeded by --seed and drawn in grid order, so output is
-byte-identical for identical arguments and does not depend on the block
-size.
+of simulate is the gate model's own prediction, (m_H - m_+)(m_H + m_+)
+from the means of its two gated runs, so no variance is taken.  The writer
+writes each chunk of rows as one join of the row template's pieces and the
+cells' repr texts, and formats a column broadcast over a block once per
+block.  Sampling uses one generator per sweep, seeded by --seed and drawn
+in grid order, so output is byte-identical for identical arguments and
+does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -64,12 +64,7 @@ from .photonics import (
     _gated_signals,
     _poisson_counts,
 )
-from .qubit import (
-    _born,
-    _family_states,
-    _tilted_effects,
-    _variances,
-)
+from .qubit import _born, _family_states, _tilted_effects
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -134,7 +129,6 @@ class SweepRecord:
 
 
 CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
-_OUTCOME_VALUES = np.array([-1.0, +1.0])
 
 
 _ENGINE_POINTS = 16384  # grid points per engine block
@@ -155,8 +149,10 @@ def _grid_rows(
     the qubit family's own parameters, and broadcasts it over theta.  Each
     block builds the analyzer effects of its own angles; its analytic
     column is the family's closed form for delta_v, or with
-    gate_model_analytic the gate model's own noise-free prediction.  The
-    tail (gated Born pass, Poisson draw, estimator) is dimension-generic.
+    gate_model_analytic the gate model's own noise-free prediction,
+    V_+ - V_H = m_H^2 - m_+^2 taken factored from the means of the two
+    gated runs (meter in H, meter in +).  The tail (gated Born pass,
+    Poisson draw, estimator) is dimension-generic.
     One generator seeded by spec.seed draws the counts block after block
     in grid order, which gives the counts of one draw over the whole grid.
     """
@@ -189,8 +185,8 @@ def _grid_rows(
             _born(signals[axis], _tilted_effects(angles).reshape(-1, 2, 2))
             .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
         if gate_model_analytic:  # the gate model's own noise-free prediction
-            v_gated = _variances(probabilities, _OUTCOME_VALUES)
-            analytic = v_gated[..., 1] - v_gated[..., 0]
+            mean = probabilities[..., 1] - probabilities[..., 0]
+            analytic = (mean[..., 0] - mean[..., 1]) * (mean[..., 0] + mean[..., 1]) + 0.0
         else:
             analytic = _family_delta_v(p[axis, None], off[axis, None], np.cos(angles),
                                        np.sin(angles))
@@ -211,7 +207,7 @@ def _sweep_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
 
 def _max_violation_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
     if spec.axis1 == "gamma":
-        spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 1/2
+        spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 0.4999999999999999
     return _grid_rows(spec, np.array([90.0]))
 
 
@@ -310,10 +306,11 @@ def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:
 def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
     """Violation at the maximally incompatible analysis angle (90 degrees).
 
-    Sweeps p at fixed gamma, or gamma at p = 1/2: on the gamma axis it
-    sets alpha_deg = 22.5 whatever the spec holds, and it ignores the theta
-    fields.  The analytic violation column equals the squared trace
-    distance column here, to round-off.
+    Sweeps p at fixed gamma, or gamma at p = sin^2(45 degrees), which is
+    0.4999999999999999: on the gamma axis it sets alpha_deg = 22.5
+    whatever the spec holds, and it ignores the theta fields.  The
+    analytic violation column equals the squared trace distance column
+    here, to round-off.
     """
     return _emit(spec, _max_violation_rows(spec))
 

@@ -368,10 +368,47 @@ class TestEngineBlocks:
             assert abs(analytic - reference) <= 1e-15
             assert abs(analytic_delta_v(p, gamma, theta[0]) - reference) <= 1e-15
 
+    @settings(max_examples=300, deadline=None)
+    @given(p_range=_axis_range("p"), gamma=st.floats(-1.0, 1.0),
+           theta_deg=st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=3),
+           gate=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.0, 1.0)))
+    @example(p_range=[0.0, 1.0], gamma=1.0, theta_deg=[0.0, 90.0, 180.0],
+             gate=(1.0, 0.3333333333333333, 1.0))
+    @example(p_range=[0.0, 1.0], gamma=-0.0, theta_deg=[0.0, 90.0, 180.0],
+             gate=(0.985, 0.324, 1.0))
+    @example(p_range=[0.0, 1.0], gamma=0.0, theta_deg=[0.0, 90.0, 180.0],
+             gate=(1.0, 0.3333333333333333, 1.0))
+    @example(p_range=[0.25, 0.75], gamma=-1.0, theta_deg=[45.0], gate=(0.9, 0.8, 0.0))
+    def test_gate_model_column_matches_the_variances(self, p_range, gamma, theta_deg, gate):
+        # simulate's analytic column, taken factored from the two runs'
+        # means, against V_+ - V_H from qubit._variances on the same
+        # gated probabilities, captured as the engine checks them.
+        checked = cli._checked_probabilities
+        seen = []
+
+        def kept(probabilities):
+            seen.append(checked(probabilities))
+            return seen[-1]
+
+        spec = SweepSpec(axis1="p", a1_min=p_range[0], a1_max=p_range[1], a1_steps=2,
+                         gamma=gamma, gate=GateParams(*gate))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_checked_probabilities", kept)
+            [(_axis1, _theta, column, *_rest)] = cli._grid_rows(
+                spec, np.array(theta_deg), gate_model_analytic=True)
+        [probabilities] = seen
+        variances = _variances(probabilities, np.array([-1.0, 1.0]))
+        reference = variances[..., 1] - variances[..., 0]
+        assert column.shape == reference.shape
+        assert np.abs(column - reference).max() <= 1e-15
+
     @pytest.mark.parametrize(
-        "argv", [["sweep-pure", "--gamma", 0], ["sweep-mixed", "--alpha", 45]])
+        "argv", [["sweep-pure", "--gamma", 0], ["sweep-mixed", "--alpha", 45],
+                 ["simulate", "--gamma", 0, "--a1-steps", 2, "--theta-steps", 5]])
     def test_no_cell_reads_negative_zero(self, argv, tmp_path):
-        # Here off = 0, so every analytic_dv is a signed zero of the product.
+        # Here off = 0, so every analytic_dv of the closed form is a signed
+        # zero of the product; so is simulate's at p = 0 and p = 1, where
+        # the two gated runs' means agree.
         assert run_main(argv + ["--out", tmp_path / "x.csv"]) == 0
         cells = (tmp_path / "x.csv").read_text().replace("\n", ",").split(",")
         assert "0.0" in cells
