@@ -191,5 +191,8 @@ def measurement_coherence_witness(obs: Observable, basis: Observable) -> float:
     basis_matrix = basis.sharp_basis
     if basis_matrix is None:
         raise ValueError("witness basis must consist of rank-1 orthogonal projectors")
-    in_basis = basis_matrix.conj().T @ obs._matrices @ basis_matrix
-    return float(np.max(np.abs(in_basis[:, ~np.eye(obs.dim, dtype=bool)]), initial=0.0))
+    magnitudes = np.abs(basis_matrix.conj().T @ obs._matrices @ basis_matrix)
+    # Every (d + 1)-th entry of a flattened d x d matrix is on its diagonal;
+    # zeroed, it leaves the largest off-diagonal magnitude, or 0 at d = 1.
+    magnitudes.reshape(len(magnitudes), -1)[:, :: obs.dim + 1] = 0.0
+    return float(magnitudes.max())

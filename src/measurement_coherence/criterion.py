@@ -26,11 +26,16 @@ witness of the second measurement in the first one's basis, and keeps
 both in one memo on second (Observable._pairs).  The probe's first four
 columns are B, A, Phi(B) and Phi(A), each transposed and flattened, so
 that flat(rho) @ column is tr(rho X); the last d^2 are I - Phi, which
-map flat(rho) to flat(rho - rho').  Per state delta_v takes one product
-of the flattened state with the probe: four moments for the variances
-and the difference rho - rho', whose trace norm is taken in closed form
-at d = 2 (qubit._qubit_trace_norm) and by eigvalsh above.  A pair used
-for a single state pays the build on the call.
+map flat(rho) to flat(rho - rho').  Per state delta_v makes one
+dimension test (the two _check_same_dim calls run only when it fails,
+to name the mismatch) and takes one product of the flattened state with
+the probe: four moments for the variances and the difference rho - rho',
+whose trace norm is taken in closed form at d = 2
+(qubit._qubit_trace_norm) and by eigvalsh above.  The variances are
+taken inline; _clamped_variance, with its round-off floor and clamp,
+runs only when one of them is negative or NaN.  A pair used for a single
+state pays the build on the call, of which the witness
+(channels.measurement_coherence_witness) is one part.
 """
 
 from __future__ import annotations
@@ -143,18 +148,18 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     the state and its dephased counterpart, and, when the first
     measurement is sharp, the off-diagonality witness of the second.
     """
-    _check_same_dim(state, first)
-    _check_same_dim(state, second)
     d = state.dim
+    if not d == first.dim == second.dim:
+        _check_same_dim(state, first)
+        _check_same_dim(state, second)
     memo = second._pairs
     entry = memo.get(first)
     if entry is None:
         operators = _moment_operators(second._values, second._matrices, first._channel)
-        # Transposed, so that flat(rho) @ column is tr(rho X); flat(rho) @
-        # (I - Phi) is flat(rho - rho').
+        # Column k is flat(X_k^T), so that flat(rho) @ column is tr(rho X_k);
+        # flat(rho) @ (I - Phi) is flat(rho - rho').
         probe = np.concatenate(
-            (operators.transpose(0, 2, 1).reshape(4, d * d).T, np.eye(d * d) - first._channel),
-            axis=1,
+            (operators.T.reshape(d * d, 4), np.eye(d * d) - first._channel), axis=1
         )
         entry = memo[first] = (
             _read_only(probe),
@@ -164,18 +169,21 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     product = state.matrix.ravel().dot(probe)
     entries = product.tolist()
     # <B>, <A>, <Phi(B)>, <Phi(A)>: the moments of y on rho and on rho'.
-    v_direct = _clamped_variance(entries[1].real, entries[0].real)
-    v_dephased = _clamped_variance(entries[3].real, entries[2].real)
+    mean, mean_sq = entries[0].real, entries[1].real
+    mean_dephased, mean_sq_dephased = entries[2].real, entries[3].real
+    v_direct = mean_sq - mean * mean
+    v_dephased = mean_sq_dephased - mean_dephased * mean_dephased
+    # A variance that is >= 0.0 is what _clamped_variance returns for it;
+    # only a negative or NaN one needs its floor check and clamp.
+    if not (v_direct >= 0.0 and v_dephased >= 0.0):
+        v_direct = _clamped_variance(mean_sq, mean)
+        v_dephased = _clamped_variance(mean_sq_dephased, mean_dephased)
     if d == 2:
         distance = _qubit_trace_norm(entries[4:])
     else:
         distance = float(_trace_norm(product[4:].reshape(d, d)))
     return CriterionReport(
-        v_unperturbed=v_direct,
-        v_perturbed=v_dephased,
-        delta_v=v_dephased - v_direct,
-        trace_norm_sq=distance * distance,
-        witness=witness,
+        v_direct, v_dephased, v_dephased - v_direct, distance * distance, witness
     )
 
 

@@ -177,7 +177,7 @@ class Observable(_Value):
     @cached_property
     def _matrices(self) -> np.ndarray:
         """Effect matrices in outcome order, stacked to shape (Y, d, d)."""
-        return _read_only(np.stack([eff.matrix for eff in self.effects]))
+        return _read_only(np.array([eff.matrix for _, eff in self.outcomes]))
 
     @cached_property
     def _roots(self) -> np.ndarray:

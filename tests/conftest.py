@@ -26,6 +26,44 @@ def random_pure(rng: np.random.Generator, dim: int = 2) -> QState:
     return QState(np.outer(vec, vec.conj()))
 
 
+def random_state(rng: np.random.Generator, dim: int) -> QState:
+    return random_pure(rng, dim) if rng.random() < 0.5 else random_density(rng, dim)
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def hermitian_part(mat: np.ndarray) -> np.ndarray:
+    return (mat + mat.conj().T) / 2.0
+
+
+def observable(values, effects) -> Observable:
+    return Observable(tuple((v, Effect(hermitian_part(e))) for v, e in zip(values, effects)))
+
+
+def random_povm(rng: np.random.Generator, dim: int, outcomes: int | None = None) -> Observable:
+    """E_x = T^-1/2 A_x T^-1/2 with Ginibre A_x and T = sum_x A_x; 2 to 4
+    outcomes unless given."""
+    if outcomes is None:
+        outcomes = rng.integers(2, 5)
+    gs = rng.normal(size=(outcomes, dim, dim)) + 1j * rng.normal(size=(outcomes, dim, dim))
+    parts = gs @ gs.conj().transpose(0, 2, 1)
+    eigenvalues, vectors = np.linalg.eigh(parts.sum(axis=0))
+    inv_root = (vectors / np.sqrt(eigenvalues)) @ vectors.conj().T
+    return observable(rng.normal(size=outcomes), inv_root @ parts @ inv_root)
+
+
+def random_sharp(rng: np.random.Generator, dim: int) -> Observable:
+    """Sharp measurement: the rank-1 projectors onto a random unitary's columns."""
+    unitary = random_unitary(rng, dim)
+    return Observable(tuple(
+        (float(k), Effect(np.outer(unitary[:, k], unitary[:, k].conj()))) for k in range(dim)
+    ))
+
+
 def diagonal_povm(rng: np.random.Generator, dim: int = 2) -> Observable:
     """Random unsharp two-outcome POVM that is diagonal in the H/V basis."""
     diag = rng.uniform(0.05, 0.95, size=dim)

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from measurement_coherence import (
     Effect,
@@ -29,7 +30,7 @@ from measurement_coherence import (
 )
 from measurement_coherence import criterion
 from measurement_coherence.photonics import CountRecord
-from conftest import diagonal_povm, random_density, random_pure
+from conftest import diagonal_povm, random_density, random_povm, random_pure, random_sharp
 
 
 def plus_state() -> QState:
@@ -311,6 +312,21 @@ class TestWitness:
         assert not whole.is_sharp()
         with pytest.raises(ValueError, match="rank-1 orthogonal projectors"):
             measurement_coherence_witness(observable_x(), whole)
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 4), outcomes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_masked_maximum(self, dim, outcomes, seed):
+        # the largest magnitude off the diagonal, as the mask of np.eye
+        # picks it out, bit for bit; at d = 1 there is none and it is 0.0
+        rng = np.random.default_rng(seed)
+        obs, basis = random_povm(rng, dim, outcomes), random_sharp(rng, dim)
+        in_basis = basis.sharp_basis.conj().T @ obs._matrices @ basis.sharp_basis
+        masked = np.max(np.abs(in_basis[:, ~np.eye(dim, dtype=bool)]), initial=0.0)
+        got = measurement_coherence_witness(obs, basis)
+        assert type(got) is float
+        assert got.hex() == float(masked).hex()
+        if dim == 1:
+            assert got.hex() == (0.0).hex()
 
     def test_zero_witness_implies_zero_violation(self, rng):
         # diagonal second measurements admit a classical model: delta_v

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from measurement_coherence import criterion
 from measurement_coherence import (
@@ -32,7 +33,14 @@ from measurement_coherence import (
     trace_norm_distance,
     variance,
 )
-from conftest import diagonal_povm, random_density, random_pure
+from conftest import (
+    diagonal_povm,
+    random_density,
+    random_povm,
+    random_pure,
+    random_sharp,
+    random_state,
+)
 
 
 def oracle_delta_v(p: float, gamma: float, theta: float) -> float:
@@ -46,6 +54,16 @@ def oracle_delta_v(p: float, gamma: float, theta: float) -> float:
 def scaled_second(theta: float, values: tuple[float, float]) -> Observable:
     """The effects of observable_y(theta) with other outcome values."""
     return Observable(tuple(zip(values, observable_y(theta).effects)))
+
+
+def plus_eigenstate(second: Observable) -> QState:
+    """The state onto which second's last effect projects."""
+    plus = second.effects[-1].matrix
+    return QState(plus / np.trace(plus).real)
+
+
+def computational_basis(dim: int) -> Observable:
+    return Observable(tuple((float(k), Effect(np.diag(np.eye(dim)[k]))) for k in range(dim)))
 
 
 class TestTotalProbabilityResidual:
@@ -155,6 +173,114 @@ class TestVarianceFloor:
         state = QState(np.diag([1 + 5e-11, -5e-11]))
         with pytest.raises(ValueError, match="variance evaluated to"):
             delta_v(state, observable_x(), observable_x())
+
+
+class TestDimensionMismatch:
+    """delta_v checks the state against first, then against second, and
+    raises from the first check that fails."""
+
+    qubit = make_state(0.3, 0.8)
+
+    @staticmethod
+    def record_checks(monkeypatch) -> list:
+        checked = []
+        check = criterion._check_same_dim
+
+        def spy(a, b):
+            checked.append((a, b))
+            check(a, b)
+
+        monkeypatch.setattr(criterion, "_check_same_dim", spy)
+        return checked
+
+    def test_state_against_first_is_checked_first(self, monkeypatch):
+        checked = self.record_checks(monkeypatch)
+        first, second = computational_basis(3), computational_basis(3)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+            delta_v(self.qubit, first, second)
+        assert checked == [(self.qubit, first)]
+        del checked[:]
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 3$"):
+            delta_v(self.qubit, first, computational_basis(4))
+        assert checked == [(self.qubit, first)]
+
+    def test_a_matching_first_leaves_the_state_against_second(self, monkeypatch):
+        checked = self.record_checks(monkeypatch)
+        first = observable_x()
+        for dim in (3, 4, 1):
+            second = computational_basis(dim)
+            with pytest.raises(ValueError, match=rf"^dimension mismatch: 2 vs {dim}$"):
+                delta_v(self.qubit, first, second)
+            assert checked[-2:] == [(self.qubit, first), (self.qubit, second)]
+
+    def test_a_qutrit_against_two_qubit_measurements(self):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+            delta_v(QState(np.eye(3) / 3), observable_x(), observable_x())
+
+
+CLAMPED_VARIANCE = criterion._clamped_variance
+
+
+def assert_clamped_variances(report, state, first, second) -> list[tuple[float, float]]:
+    """The report's variances are bit for bit _clamped_variance of the
+    moments delta_v takes from the pair's probe.  Returns those moments,
+    (<A>, <B>) of the direct run and then of the dephased one."""
+    probe, _witness = second._pairs[first]
+    mean, mean_sq, mean_dephased, mean_sq_dephased = (
+        z.real for z in state.matrix.ravel().dot(probe).tolist()[:4]
+    )
+    assert report.v_unperturbed.hex() == CLAMPED_VARIANCE(mean_sq, mean).hex()
+    assert report.v_perturbed.hex() == CLAMPED_VARIANCE(mean_sq_dephased, mean_dephased).hex()
+    return [(mean_sq, mean), (mean_sq_dephased, mean_dephased)]
+
+
+class TestInlineVariances:
+    """delta_v takes <A> - <B>^2 inline and calls _clamped_variance only
+    when a variance is negative or NaN; either way it reports what
+    _clamped_variance returns for the same moments."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), sharp_first=st.booleans())
+    def test_random_states_and_measurements(self, dim, seed, sharp_first):
+        rng = np.random.default_rng(seed)
+        first = random_sharp(rng, dim) if sharp_first else random_povm(rng, dim)
+        second = random_povm(rng, dim)
+        state = random_state(rng, dim)
+        assert_clamped_variances(delta_v(state, first, second), state, first, second)
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(0.01, 3.1), scale=st.sampled_from([1e4, 1e100]))
+    @example(theta=0.01, scale=1e100)
+    @example(theta=3.1, scale=1e4)
+    def test_eigenstates_at_large_values(self, theta, scale):
+        second = scaled_second(theta, (0.0, scale))
+        state = plus_eigenstate(second)
+        for first in (observable_x(), second):
+            assert_clamped_variances(delta_v(state, first, second), state, first, second)
+
+    def test_the_eigenstate_corpus_runs_the_clamp(self, monkeypatch):
+        calls = []
+
+        def spy(mean_sq, mean):
+            calls.append((mean_sq, mean))
+            return CLAMPED_VARIANCE(mean_sq, mean)
+
+        monkeypatch.setattr(criterion, "_clamped_variance", spy)
+        first = observable_x()
+        negatives = 0
+        for scale in (1e4, 1e100):
+            for theta in np.linspace(0.01, 3.1, 200):
+                second = scaled_second(theta, (0.0, scale))
+                state = plus_eigenstate(second)
+                del calls[:]
+                report = delta_v(state, first, second)
+                moments = assert_clamped_variances(report, state, first, second)
+                if min(mean_sq - mean * mean for mean_sq, mean in moments) < 0.0:
+                    negatives += 1
+                    assert calls == moments  # both runs, the direct one first
+                else:
+                    assert calls == []
+        assert negatives > 0  # the corpus does reach the fallback
 
 
 @pytest.mark.filterwarnings("error")

@@ -9,8 +9,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from measurement_coherence import (
-    Effect,
-    Observable,
     commutator_norm,
     delta_v,
     entropy_difference,
@@ -19,40 +17,12 @@ from measurement_coherence import (
     outcome_distribution,
     total_probability_residual,
 )
-from conftest import random_density, random_pure
+from conftest import observable, random_density, random_povm, random_state, random_unitary
 
 TOL = 1e-12
 
 dims = st.sampled_from([3, 4])
 seeds = st.integers(0, 2**32 - 1)
-
-
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def hermitian_part(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2.0
-
-
-def observable(values, effects) -> Observable:
-    return Observable(tuple((v, Effect(hermitian_part(e))) for v, e in zip(values, effects)))
-
-
-def random_povm(rng: np.random.Generator, dim: int) -> Observable:
-    """E_x = T^-1/2 A_x T^-1/2 with Ginibre A_x and T = sum_x A_x."""
-    outcomes = rng.integers(2, 5)
-    gs = rng.normal(size=(outcomes, dim, dim)) + 1j * rng.normal(size=(outcomes, dim, dim))
-    parts = gs @ gs.conj().transpose(0, 2, 1)
-    eigenvalues, vectors = np.linalg.eigh(parts.sum(axis=0))
-    inv_root = (vectors / np.sqrt(eigenvalues)) @ vectors.conj().T
-    return observable(rng.normal(size=outcomes), inv_root @ parts @ inv_root)
-
-
-def random_state(rng: np.random.Generator, dim: int):
-    return random_pure(rng, dim) if rng.random() < 0.5 else random_density(rng, dim)
 
 
 def psd_root(mat: np.ndarray) -> np.ndarray:

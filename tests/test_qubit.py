@@ -24,7 +24,7 @@ from measurement_coherence import (
     variance,
 )
 from measurement_coherence.qubit import _born, _family_states, _qubit_trace_norm, _trace_norm
-from conftest import assert_passes_public_checks, random_density
+from conftest import assert_passes_public_checks, random_density, random_povm
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -554,6 +554,16 @@ class TestReadOnlyMatrices:
                       obs._matrices, obs._roots, obs._channel, obs.sharp_basis):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
+
+    def test_effect_stack_is_the_stacked_effect_matrices(self, rng):
+        # a POVM built through the checked constructors, and a trusted one
+        for obs in (random_povm(rng, 3, outcomes=4), observable_y(0.4)):
+            stacked = np.stack([e.matrix for e in obs.effects])
+            got = obs._matrices
+            assert (got.dtype, got.shape) == (stacked.dtype, stacked.shape)
+            assert got.tobytes() == stacked.tobytes()
+            assert got.flags.c_contiguous
+            assert got.flags.writeable is False
 
     def test_mutating_the_source_array_leaves_the_object_unchanged(self):
         source = np.diag([0.25, 0.75]).astype(np.complex128)
