@@ -20,14 +20,19 @@ Angles are accepted in degrees and converted internally.  Each sweep
 computes its grid in engine blocks of up to 16384 points, each a
 rectangle of the grid (whole theta rows, or a piece of one longer row),
 and writes each block as it finishes.  What depends on the state alone
-is computed once per sweep, for every axis value before the first block,
-and broadcast over theta: the coherence off of each family state,
-||rho - rho'||_1 (twice the coherence's magnitude, so no sweep calls
-numpy.linalg) and the gated signals.  Applying the gate there is also its
-check.  The analyzer effects are built per block, from that block's
+is computed per block, for that block's axis values only, and broadcast
+over theta: the coherence off of each family state, ||rho - rho'||_1
+(twice the coherence's magnitude, so no sweep calls numpy.linalg) and
+the gated signals.  So memory does not grow with the axis beyond the
+axis values themselves.  A gate that vanishes anywhere on the axis still
+fails before the first block: the coincidence rate tr(K o rho) reads
+only the populations, and a sweep of more than one block of axis values
+checks it over the whole axis first, in chunks of 16384 values.  The
+analyzer effects are built per block, from that block's
 angles, and the Born rule meets the block's signals with all of them as
-one stack in one einsum, without broadcast axes or a BLAS call.  The
-analytic column of sweep-pure, sweep-mixed and max-violation
+one stack in one einsum, without broadcast axes or a BLAS call.  Every
+command shares one block loop; _COMMANDS names each command's analytic
+column.  That of sweep-pure, sweep-mixed and max-violation
 is the family's closed form for delta_v (criterion._family_delta_v), so
 no sweep builds the dephased state rho' or runs a second Born pass; that
 of simulate is the gate model's own prediction, (m_H - m_+)(m_H + m_+)
@@ -60,7 +65,9 @@ from .photonics import (
     MEASURED_GATE,
     PrepConfig,
     _check_flux,
+    _check_success,
     _estimate_delta_v,
+    _gate_multiplier,
     _gated_signals,
     _poisson_counts,
 )
@@ -134,9 +141,28 @@ CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
 _ENGINE_POINTS = 16384  # grid points per engine block
 
 
-def _grid_rows(
-    spec: SweepSpec, theta_deg: np.ndarray, gate_model_analytic: bool = False
-) -> Iterator[tuple[np.ndarray, ...]]:
+def _family(spec: SweepSpec, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Population p and coherence off of the family states at these axis
+    values; SweepSpec has range-checked p and gamma."""
+    p, gamma = (values, spec.gamma) if spec.axis1 == "p" else (
+        np.full_like(values, PrepConfig(spec.alpha_deg).p), values)
+    return p, np.sqrt(p * (1.0 - p)) * gamma
+
+
+def _family_column(p, off, angles, _probabilities) -> np.ndarray:
+    """The family's closed form for delta_v."""
+    return _family_delta_v(p[:, None], off[:, None], np.cos(angles), np.sin(angles))
+
+
+def _gated_means_column(_p, _off, _angles, probabilities) -> np.ndarray:
+    """The gate model's own noise-free prediction, V_+ - V_H = m_H^2 - m_+^2,
+    taken factored from the means of the two gated runs (meter in H, meter
+    in +)."""
+    mean = probabilities[..., 1] - probabilities[..., 0]
+    return (mean[..., 0] - mean[..., 1]) * (mean[..., 0] + mean[..., 1]) + 0.0
+
+
+def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple[np.ndarray, ...]]:
     """Every grid point of a sweep, in blocks of at most _ENGINE_POINTS
     points.
 
@@ -145,74 +171,62 @@ def _grid_rows(
     longer than _ENGINE_POINTS.  A block of a axis values by w angles is
     yielded as the columns of CSV_FIELDS in the shapes they broadcast
     from: axis1 and trdist_sq (a, 1), theta (w,) and the rest (a, w).
-    The head computes what depends on the state alone once per sweep from
-    the qubit family's own parameters, and broadcasts it over theta.  Each
-    block builds the analyzer effects of its own angles; its analytic
-    column is the family's closed form for delta_v, or with
-    gate_model_analytic the gate model's own noise-free prediction,
-    V_+ - V_H = m_H^2 - m_+^2 taken factored from the means of the two
-    gated runs (meter in H, meter in +).  The tail (gated Born pass,
-    Poisson draw, estimator) is dimension-generic.
+    The head of a block derives what depends on the state alone for the
+    block's own axis values, from the qubit family's own parameters, and
+    broadcasts it over theta; the block builds the analyzer effects of
+    its own angles.  column(p, off, angles, probabilities) gives the
+    analytic column, (a, w), from the block's family parameters and
+    gated probabilities (axis value, angle, meter mode, outcome).  The
+    tail (gated Born pass, Poisson draw, estimator) is dimension-generic
+    and shared by every command.
     One generator seeded by spec.seed draws the counts block after block
     in grid order, which gives the counts of one draw over the whole grid.
     """
     axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
-    if spec.axis1 == "p":
-        p, gamma = axis_values, np.full_like(axis_values, spec.gamma)
-    else:
-        p = np.full_like(axis_values, PrepConfig(spec.alpha_deg).p)
-        gamma = axis_values
-    # SweepSpec has range-checked p and gamma.  Measuring x and forgetting
-    # the outcome keeps the populations and drops the coherence, so the
-    # eigenvalues of rho - rho' are +-|off| and ||rho - rho'||_1 = 2|off|.
-    off = np.sqrt(p * (1.0 - p)) * gamma
-    states = _family_states(p, off)
-    trdist_sq = 4.0 * off * off
-    # The gate depends on the state but not on theta: it is applied here
-    # once per (axis value, meter mode), which is also its check, so a gate
-    # that fails on some grid point fails before any block is yielded.
-    signals = _gated_signals(states[:, None], spec.gate, _METER_V)
-    radians = np.radians(theta_deg)
-    rng = np.random.default_rng(spec.seed)
     steps = len(theta_deg)
     rows, width = max(_ENGINE_POINTS // steps, 1), min(steps, _ENGINE_POINTS)
-    for a, t in itertools.product(range(0, len(axis_values), rows), range(0, steps, width)):
-        axis, cut = slice(a, a + rows), slice(t, t + width)
-        angles = radians[cut]
-        # (axis, meter mode) signals against the (theta, outcome) effects,
-        # read as (axis, theta, meter mode, outcome): grid order for the draw.
-        probabilities = _checked_probabilities(
-            _born(signals[axis], _tilted_effects(angles).reshape(-1, 2, 2))
-            .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
-        if gate_model_analytic:  # the gate model's own noise-free prediction
-            mean = probabilities[..., 1] - probabilities[..., 0]
-            analytic = (mean[..., 0] - mean[..., 1]) * (mean[..., 0] + mean[..., 1]) + 0.0
-        else:
-            analytic = _family_delta_v(p[axis, None], off[axis, None], np.cos(angles),
-                                       np.sin(angles))
-        counts = _poisson_counts(rng, spec.flux, probabilities)
-        sampled, std_err = _estimate_delta_v(counts)
-        z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
-        yield (axis_values[axis, None], theta_deg[cut], analytic, sampled, std_err, z,
-               trdist_sq[axis, None])
+    if rows < len(axis_values):
+        # Each block gates only its own axis values, so a gate that fails
+        # anywhere is caught here, before the first block.  tr(K o rho)
+        # reads only K's diagonal and the populations (1 - p, p); with one
+        # block its own gating is the check.
+        k = _gate_multiplier(spec.gate, _METER_V)
+        _check_success(min((k[:, 0, 0] * (1.0 - p) + k[:, 1, 1] * p).min() for p in (
+            _family(spec, axis_values[a:a + _ENGINE_POINTS])[0][:, None]
+            for a in range(0, len(axis_values), _ENGINE_POINTS))))
+    radians = np.radians(theta_deg)
+    rng = np.random.default_rng(spec.seed)
+    for a in range(0, len(axis_values), rows):
+        p, off = _family(spec, axis_values[a:a + rows])
+        signals = _gated_signals(_family_states(p, off)[:, None], spec.gate, _METER_V)
+        for t in range(0, steps, width):
+            angles = radians[t:t + width]
+            # (axis, meter mode) signals against the (theta, outcome)
+            # effects, read as (axis, theta, meter mode, outcome): grid
+            # order for the draw.
+            probabilities = _checked_probabilities(
+                _born(signals, _tilted_effects(angles).reshape(-1, 2, 2))
+                .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
+            counts = _poisson_counts(rng, spec.flux, probabilities)
+            sampled, std_err = _estimate_delta_v(counts)
+            z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
+            # Measuring x and forgetting the outcome keeps the populations
+            # and drops the coherence, so the eigenvalues of rho - rho' are
+            # +-|off| and trdist_sq = ||rho - rho'||_1^2 = 4 off^2.
+            yield (axis_values[a:a + rows, None], theta_deg[t:t + width],
+                   column(p, off, angles, probabilities), sampled, std_err, z,
+                   (4.0 * off * off)[:, None])
 
 
-def _theta_grid(spec: SweepSpec) -> np.ndarray:
-    return np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
+def _sweep_rows(spec: SweepSpec, column) -> Iterator[tuple[np.ndarray, ...]]:
+    theta_deg = np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
+    return _grid_rows(spec, theta_deg, column)
 
 
-def _sweep_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
-    return _grid_rows(spec, _theta_grid(spec))
-
-
-def _max_violation_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
+def _max_violation_rows(spec: SweepSpec, column) -> Iterator[tuple[np.ndarray, ...]]:
     if spec.axis1 == "gamma":
         spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 0.4999999999999999
-    return _grid_rows(spec, np.array([90.0]))
-
-
-def _simulate_rows(spec: SweepSpec) -> Iterator[tuple[np.ndarray, ...]]:
-    return _grid_rows(spec, _theta_grid(spec), gate_model_analytic=True)
+    return _grid_rows(spec, np.array([90.0]), column)
 
 
 # Row templates over the texts of the cells.  repr of a float is its
@@ -300,7 +314,7 @@ def _emit(spec: SweepSpec, blocks: Iterator[tuple[np.ndarray, ...]]) -> list[Swe
 def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:
     """Violation surface over (axis1, theta): p at fixed gamma, or gamma at a
     fixed wave-plate angle."""
-    return _emit(spec, _sweep_rows(spec))
+    return _emit(spec, _sweep_rows(spec, _family_column))
 
 
 def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
@@ -312,7 +326,7 @@ def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
     analytic violation column equals the squared trace distance column
     here, to round-off.
     """
-    return _emit(spec, _max_violation_rows(spec))
+    return _emit(spec, _max_violation_rows(spec, _family_column))
 
 
 def cmd_simulate(spec: SweepSpec) -> list[SweepRecord]:
@@ -322,7 +336,7 @@ def cmd_simulate(spec: SweepSpec) -> list[SweepRecord]:
     The gate is spec.gate: the ideal GateParams() unless the spec names
     another, whereas the simulate subcommand defaults to MEASURED_GATE.
     """
-    return _emit(spec, _simulate_rows(spec))
+    return _emit(spec, _sweep_rows(spec, _gated_means_column))
 
 
 # flag: (SweepSpec or GateParams field, type, help).  The parser sets only
@@ -348,14 +362,14 @@ _FLAGS = {
     "--format": ("fmt", str, "output format, csv or json"),
 }
 
-# name: (grid rows, accepted axis1 values with the default first, default
-# gate, fields the command never reads)
+# name: (grid rows, analytic column, accepted axis1 values with the default
+# first, default gate, fields the command never reads)
 _COMMANDS = {
-    "sweep-pure": (_sweep_rows, ("p",), GateParams(), ()),
-    "sweep-mixed": (_sweep_rows, ("gamma",), GateParams(), ()),
-    "max-violation": (_max_violation_rows, ("p", "gamma"), GateParams(),
+    "sweep-pure": (_sweep_rows, _family_column, ("p",), GateParams(), ()),
+    "sweep-mixed": (_sweep_rows, _family_column, ("gamma",), GateParams(), ()),
+    "max-violation": (_max_violation_rows, _family_column, ("p", "gamma"), GateParams(),
                       ("alpha_deg", "theta_min_deg", "theta_max_deg", "theta_steps")),
-    "simulate": (_simulate_rows, ("p", "gamma"), MEASURED_GATE, ()),
+    "simulate": (_sweep_rows, _gated_means_column, ("p", "gamma"), MEASURED_GATE, ()),
 }
 # The fixed value of the other state parameter, which a sweep of this axis
 # never reads: gamma for a sweep of p, the wave-plate angle for gamma.
@@ -371,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     spec_defaults = {f.name: f.default for f in fields(SweepSpec)}
-    for name, (_rows, axes, gate, _unread) in _COMMANDS.items():
+    for name, (_rows, _column, axes, gate, _unread) in _COMMANDS.items():
         defaults = {**spec_defaults, **asdict(gate), "axis1": axes[0]}
         sub = subparsers.add_parser(name, argument_default=argparse.SUPPRESS)
         for flag, (dest, kind, text) in _FLAGS.items():
@@ -384,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     given = vars(args).copy()  # only the flags on the command line
     command = given.pop("command")
-    _rows, axes, gate, unread = _COMMANDS[command]
+    _rows, _column, axes, gate, unread = _COMMANDS[command]
     axis1 = given.setdefault("axis1", axes[0])
     if axis1 not in axes:
         raise ValueError(f"{command} sweeps axis1 = {' or '.join(axes)}")
@@ -404,7 +418,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_rows(spec, _COMMANDS[args.command][0](spec))
+        rows, column, *_rest = _COMMANDS[args.command]
+        _write_rows(spec, rows(spec, column))
     except Exception as exc:  # noqa: BLE001 - report and signal failure
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ from coincidence counts:
 * Readout: the meter is injected as |H> (gate off: no coupling) or |+>
   (gate on) and is never analyzed, so discarding it realizes the
   measure-and-forget channel on the signal: rho -> K o rho, renormalized,
-  with the 2x2 closed form K of _gated_signals (identity for
+  with the 2x2 closed form K of _gate_multiplier (identity for
   |H>, exact dephasing for |+> at the ideal gate).  The signal is
   analyzed by a half-wave plate at a quarter of the analysis angle
   followed by a polarizing splitter; counts per output port are
@@ -266,31 +266,41 @@ _RUNS = (UNPERTURBED, PERTURBED)
 _METER_V = np.array([0.0, 0.5])
 
 
-def _gated_signals(signals: np.ndarray, params: GateParams, meter_v) -> np.ndarray:
-    """Gated, renormalized signals K o rho / tr(K o rho) (entrywise product),
-    where tr(K o rho) is the coincidence success probability.
+def _gate_multiplier(params: GateParams, meter_v) -> np.ndarray:
+    """The 2x2 multiplier K of the gate, shape meter_v.shape + (2, 2).
 
-    Gating and discarding the meter maps rho to K o rho.  After the
-    compensators every branch amplitude is tau = T_H T_V except the
-    reflect-reflect one of the two-V term, r = T_H (1 - T_V), so with
-    visibility v and meter V weight w
+    Gating and discarding the meter maps rho to K o rho (entrywise
+    product).  After the compensators every branch amplitude is
+    tau = T_H T_V except the reflect-reflect one of the two-V term,
+    r = T_H (1 - T_V), so with visibility v and meter V weight w
         K = tau^2 J + w [[0, -v tau r], [-v tau r, r^2 - 2 v tau r]],
     J the all-ones matrix; gate_channel is the 4x4 reference it reproduces.
-    signals (..., 2, 2) and meter_v (...) broadcast; the gated array is
-    new and is renormalized in place.  Raises PostSelectionError when any
-    success probability is at or below PROBABILITY_FLOOR.
     """
     tau = params.t_h * params.t_v
     r = params.t_h * (1.0 - params.t_v)
     cross = params.visibility * tau * r
     coupling = np.array([[0.0, -cross], [-cross, r * r - 2.0 * cross]])
-    gated = (tau * tau + np.asarray(meter_v)[..., None, None] * coupling) * signals
-    success = np.trace(gated, axis1=-2, axis2=-1).real
-    lowest = success.min()
+    return tau * tau + np.asarray(meter_v)[..., None, None] * coupling
+
+
+def _check_success(lowest) -> None:
+    """Raise PostSelectionError when the lowest coincidence success
+    probability is at or below PROBABILITY_FLOOR."""
     if lowest <= PROBABILITY_FLOOR:
-        raise PostSelectionError(
-            f"coincidence success probability {lowest} vanishes"
-        )
+        raise PostSelectionError(f"coincidence success probability {lowest} vanishes")
+
+
+def _gated_signals(signals: np.ndarray, params: GateParams, meter_v) -> np.ndarray:
+    """Gated, renormalized signals K o rho / tr(K o rho), with K from
+    _gate_multiplier; tr(K o rho) is the coincidence success probability.
+
+    signals (..., 2, 2) and meter_v (...) broadcast; the gated array is
+    new and is renormalized in place.  Raises PostSelectionError when any
+    success probability is at or below PROBABILITY_FLOOR.
+    """
+    gated = _gate_multiplier(params, meter_v) * signals
+    success = np.trace(gated, axis1=-2, axis2=-1).real
+    _check_success(success.min())
     gated /= success[..., None, None]
     return gated
 
@@ -345,11 +355,14 @@ def _estimate_delta_v(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     totals = counts[..., 0] + counts[..., 1]
     if not totals.all():
         raise EstimationError("count record is empty")
-    n_minus = counts[..., 0].astype(float)
-    n_plus = counts[..., 1].astype(float)
+    # The sums stay exact in int64 and are rounded once.  16 m^2 is
+    # 16 (m m) to the bit: the scaling is exact and m^2 >= N^-2 is normal.
+    counts, totals = counts.astype(float), totals.astype(float)
+    n_minus, n_plus = counts[..., 0], counts[..., 1]
     mean = (n_plus - n_minus) / totals
-    var_est = 1.0 - mean * mean
-    var_of_est = 16.0 * mean * mean * n_plus * n_minus / totals.astype(float) ** 3
+    mean_sq = mean * mean
+    var_est = 1.0 - mean_sq
+    var_of_est = 16.0 * mean_sq * n_plus * n_minus / totals ** 3
     return (
         var_est[..., 1] - var_est[..., 0],
         np.sqrt(var_of_est[..., 0] + var_of_est[..., 1]),

@@ -302,20 +302,24 @@ def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:
     return QState._trusted(_family_state(p, math.sqrt(p * (1.0 - p)) * gamma, phi))
 
 
+# The (-1, +1) effects (I -+ Y)/2 of y(theta), flattened: entry k is
+# (_EYE[k] + _COS[k] cos + _SIN[k] sin) / 2.
+_EYE = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+_COS = np.array([1.0, 0.0, 0.0, -1.0, -1.0, 0.0, 0.0, 1.0])
+_SIN = np.array([0.0, -1.0, -1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+
+
 def _tilted_effects(theta) -> np.ndarray:
     """Effects (I -+ Y(theta))/2 of y(theta), shape theta.shape + (2, 2, 2).
 
-    Outcome order is (-1, +1); the kernel behind observable_y.
+    Outcome order is (-1, +1); the kernel behind observable_y.  The
+    entries are built as one real expression and cast to complex once.
+    An off-diagonal entry is 0 -+ sin, which is +0.0 where sin is a zero
+    of either sign.
     """
-    cos = np.cos(theta)
-    sin = np.sin(theta)
-    op = np.empty(np.shape(theta) + (2, 2), dtype=np.complex128)
-    op[..., 0, 0] = -cos
-    op[..., 0, 1] = sin
-    op[..., 1, 0] = sin
-    op[..., 1, 1] = cos
-    eye = np.eye(2)
-    return np.stack(((eye - op) / 2.0, (eye + op) / 2.0), axis=-3)
+    cos, sin = np.cos(theta)[..., None], np.sin(theta)[..., None]
+    real = (_EYE + _COS * cos + _SIN * sin) * 0.5
+    return real.astype(np.complex128).reshape(real.shape[:-1] + (2, 2, 2))
 
 
 def observable_y(theta: float) -> Observable:

@@ -46,14 +46,21 @@ def observable(values, effects) -> Observable:
 
 def random_povm(rng: np.random.Generator, dim: int, outcomes: int | None = None) -> Observable:
     """E_x = T^-1/2 A_x T^-1/2 with Ginibre A_x and T = sum_x A_x; 2 to 4
-    outcomes unless given."""
+    outcomes unless given.
+
+    The last effect is I minus the sum of the others, so the effects sum
+    to I to round-off whatever the condition number of T; a lone effect
+    is I itself.
+    """
     if outcomes is None:
         outcomes = rng.integers(2, 5)
     gs = rng.normal(size=(outcomes, dim, dim)) + 1j * rng.normal(size=(outcomes, dim, dim))
     parts = gs @ gs.conj().transpose(0, 2, 1)
     eigenvalues, vectors = np.linalg.eigh(parts.sum(axis=0))
     inv_root = (vectors / np.sqrt(eigenvalues)) @ vectors.conj().T
-    return observable(rng.normal(size=outcomes), inv_root @ parts @ inv_root)
+    effects = [hermitian_part(e) for e in (inv_root @ parts @ inv_root)[:-1]]
+    effects.append(np.eye(dim) - sum(effects))
+    return observable(rng.normal(size=outcomes), effects)
 
 
 def random_sharp(rng: np.random.Generator, dim: int) -> Observable:

@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from measurement_coherence import (
     Effect,
@@ -315,6 +315,7 @@ class TestWitness:
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 4), outcomes=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(dim=3, outcomes=1, seed=46924)  # T^-1/2 A T^-1/2 alone misses I by 1.05e-12
     def test_matches_the_masked_maximum(self, dim, outcomes, seed):
         # the largest magnitude off the diagonal, as the mask of np.eye
         # picks it out, bit for bit; at d = 1 there is none and it is 0.0

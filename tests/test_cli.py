@@ -257,21 +257,28 @@ class TestEngineBlocks:
         _header, rows = read_csv(out)
         assert [astuple(record) for record in records] == [tuple(row.values()) for row in rows]
 
-    def test_the_gate_runs_once_per_sweep(self, monkeypatch):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return gated_signals(*args)
-
-        gated_signals = cli._gated_signals
-        monkeypatch.setattr(cli, "_gated_signals", counted)
-        monkeypatch.setattr(photonics, "_gated_signals", counted)
+    def test_a_gate_that_vanishes_late_fails_before_the_first_block(self, monkeypatch, capsys):
+        # Each block gates only its own axis values, and this gate vanishes
+        # only near p = 1, far past the first block of 10 axis values.
+        # The sweep still fails before its first block, with the minimum
+        # over the whole axis that gating every axis value at once reports.
         monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
-        spec = SweepSpec(axis1="p", a1_steps=30, theta_steps=30, gate=GateParams(0.9, 0.8, 0.7),
-                         out=os.devnull)
-        assert len(cmd_simulate(spec)) == 900
-        assert len(calls) == 1
+        gate = GateParams(t_h=2.7386e-7, t_v=0.4)
+        spec = SweepSpec(axis1="p", a1_steps=300, theta_steps=10, gate=gate)
+        p = np.linspace(0.0, 1.0, 300)
+        with pytest.raises(photonics.PostSelectionError) as whole_axis:
+            photonics._gated_signals(_family_states(p, np.sqrt(p * (1.0 - p)))[:, None], gate,
+                                     photonics._METER_V)
+        assert str(whole_axis.value) == "coincidence success probability 7.49992996e-15 vanishes"
+        for rows, column, *_rest in cli._COMMANDS.values():
+            with pytest.raises(photonics.PostSelectionError) as raised:
+                next(rows(spec, column))
+            assert str(raised.value) == str(whole_axis.value)
+        argv = ["simulate", "--th", 2.7386e-7, "--tv", 0.4, "--a1-steps", 300, "--theta-steps", 10]
+        assert run_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {whole_axis.value}\n"
 
     def test_memory_is_flat_in_the_grid_size(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_ENGINE_POINTS", 2000)
@@ -296,12 +303,32 @@ class TestEngineBlocks:
         monkeypatch.setattr(cli, "_ENGINE_POINTS", 2000)
         peaks = []
         for steps in (40000, 80000):
-            spec = SweepSpec(axis1=cli._COMMANDS[command][1][0], a1_steps=2, theta_steps=steps)
-            rows = cli._COMMANDS[command][0]
-            assert sum(1 for _ in rows(spec)) == 2 * steps // 2000  # caches stay out of the peak
+            rows, column, axes, *_rest = cli._COMMANDS[command]
+            spec = SweepSpec(axis1=axes[0], a1_steps=2, theta_steps=steps)
+            assert sum(1 for _ in rows(spec, column)) == 2 * steps // 2000  # caches stay out
             tracemalloc.start()
             try:
-                assert sum(1 for _ in rows(spec)) == 2 * steps // 2000
+                assert sum(1 for _ in rows(spec, column)) == 2 * steps // 2000
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 32 * 40000
+
+    @pytest.mark.parametrize("axis1", ["p", "gamma"])
+    def test_memory_is_flat_in_the_axis(self, axis1, monkeypatch):
+        # Each block derives its family states and gated signals for its
+        # own axis values, and the gate check runs in chunks: beyond the
+        # axis values themselves (8 B each), a longer axis costs no memory.
+        monkeypatch.setattr(cli, "_ENGINE_POINTS", 2000)
+        rows, column, *_rest = cli._COMMANDS["max-violation"]
+        peaks = []
+        for steps in (40000, 80000):
+            spec = SweepSpec(axis1=axis1, a1_min=-1.0 if axis1 == "gamma" else 0.0,
+                             a1_steps=steps)
+            assert sum(1 for _ in rows(spec, column)) == steps // 2000  # caches stay out
+            tracemalloc.start()
+            try:
+                assert sum(1 for _ in rows(spec, column)) == steps // 2000
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -357,7 +384,7 @@ class TestEngineBlocks:
         spec = SweepSpec(axis1="p", a1_min=p_range[0], a1_max=p_range[1], a1_steps=2,
                          gamma=gamma)
         theta_deg = np.array([theta_deg])
-        [(axis1, _theta, column, *_rest)] = cli._grid_rows(spec, theta_deg)
+        [(axis1, _theta, column, *_rest)] = cli._grid_rows(spec, theta_deg, cli._family_column)
         theta = np.radians(theta_deg)
         for p, analytic in zip(axis1.ravel().tolist(), column.ravel().tolist()):
             states = _family_states(np.array(p), math.sqrt(p * (1.0 - p)) * gamma)
@@ -395,7 +422,7 @@ class TestEngineBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_checked_probabilities", kept)
             [(_axis1, _theta, column, *_rest)] = cli._grid_rows(
-                spec, np.array(theta_deg), gate_model_analytic=True)
+                spec, np.array(theta_deg), cli._gated_means_column)
         [probabilities] = seen
         variances = _variances(probabilities, np.array([-1.0, 1.0]))
         reference = variances[..., 1] - variances[..., 0]
