@@ -41,10 +41,11 @@ def _checked_probabilities(probabilities) -> np.ndarray:
     negatives clipped.  The checks are written 'not within bound', so that
     NaN fails them."""
     probs = np.asarray(probabilities, dtype=float)
-    lowest = probs.min()
+    # The ufuncs that probs.min() and probs.clip(0.0, None) call.
+    lowest = np.minimum.reduce(probs, axis=None)
     if not lowest >= -CONSTRUCTION_TOL:
         raise ValueError(f"negative probability {lowest}")
-    probs = probs.clip(0.0, None)
+    probs = np.maximum(probs, 0.0)
     # numpy also sums two entries as p0 + p1; written out, the sum of a
     # two-outcome stack skips the per-row cost of reducing a short axis.
     sums = probs[..., 0] + probs[..., 1] if probs.shape[-1] == 2 else probs.sum(axis=-1)

@@ -16,6 +16,12 @@ reads the fixed value of the axis it sweeps (--gamma with --axis1 gamma,
 --alpha with --axis1 p).  --alpha lies in [0, 45] degrees; with gamma in
 [-1, 1] that reaches every state of the family.
 
+main parses an argv that starts with a command by that command's own
+subparser, the one build_parser hands it to, and runs the top-level
+parser only for help, no command or an unknown one; the namespace is
+the same, and an unrecognized flag is reported under the command's usage
+line.
+
 Angles are accepted in degrees and converted internally.  Each sweep
 computes its grid in engine blocks of up to 16384 points, each a
 rectangle of the grid (whole theta rows, or a piece of one longer row),
@@ -209,7 +215,7 @@ def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple
                 .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
             counts = _poisson_counts(rng, spec.flux, probabilities)
             sampled, std_err = _estimate_delta_v(counts)
-            z = np.divide(sampled, std_err, out=np.zeros_like(sampled), where=std_err > 0.0)
+            z = np.divide(sampled, std_err, out=np.zeros(sampled.shape), where=std_err > 0.0)
             # Measuring x and forgetting the outcome keeps the populations
             # and drops the coherence, so the eigenvalues of rho - rho' are
             # +-|off| and trdist_sq = ||rho - rho'||_1^2 = 4 off^2.
@@ -247,7 +253,8 @@ def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> 
     template's literals with a slot for each cell, and is written once.  A
     column with one entry per row fills its slots with the reprs of the
     chunk's entries; a smaller one formats each of its entries once per
-    block, and its texts are broadcast over the block.
+    block, and an iterator repeats its texts in row order, without
+    listing them for the whole block.
     """
     if fmt == "csv":
         head, template, separator, tail = ",".join(CSV_FIELDS) + "\n", _CSV_ROW, "\n", "\n"
@@ -260,20 +267,27 @@ def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> 
     handle.write(head)
     lead = literals[0]  # the first row of the output has no separator
     for columns in blocks:
-        block = np.broadcast(*columns)
-        shape, size = block.shape, block.size
-        cells = []  # (entries in row order, whether they are texts already) per column
+        # A block of a axis values by w angles has a * w rows, the size of
+        # its per-point columns; a smaller column is (a, 1) or (w,).
+        size, width = max((column.size, column.shape[-1]) for column in columns)
+        cells = []  # per column: its entries in row order, or its texts' iterator
         for column in columns:
             if column.size == size:
-                cells.append((column.reshape(-1), False))
-            else:
-                texts = np.array(list(map(repr, column.ravel().tolist())), dtype=object)
-                cells.append((np.broadcast_to(texts.reshape(column.shape), shape).flat, True))
+                cells.append(column.reshape(-1))
+                continue
+            texts = list(map(repr, column.ravel().tolist()))
+            if column.ndim == 1:  # one text per angle, on every axis value's row
+                cells.append(itertools.chain.from_iterable(itertools.repeat(texts, size // width)))
+            else:  # one text per axis value, for each of its angles
+                cells.append(itertools.chain.from_iterable(
+                    map(itertools.repeat, texts, itertools.repeat(width))))
         for start in range(0, size, _BLOCK_ROWS):
-            chunk = row * min(_BLOCK_ROWS, size - start)
-            for slot, (entries, is_text) in enumerate(cells):
-                part = entries[start:start + _BLOCK_ROWS].tolist()
-                chunk[2 * slot + 1::stride] = part if is_text else list(map(repr, part))
+            count = min(_BLOCK_ROWS, size - start)
+            chunk = row * count
+            for slot, entries in enumerate(cells):
+                chunk[2 * slot + 1::stride] = (
+                    map(repr, entries[start:start + count].tolist())
+                    if isinstance(entries, np.ndarray) else itertools.islice(entries, count))
             chunk[0] = lead
             lead = row[0]
             handle.write("".join(chunk))
@@ -378,7 +392,8 @@ _GATE_FIELDS = frozenset(f.name for f in fields(GateParams))
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own subparser, built once."""
     parser = argparse.ArgumentParser(
         prog="measurement-coherence",
         description="Grid sweeps of the variance-law violation for qubit measurements.",
@@ -392,7 +407,23 @@ def build_parser() -> argparse.ArgumentParser:
             shown = "" if defaults[dest] is None else f" (default: {defaults[dest]})"
             sub.add_argument(flag, dest=dest, type=kind, help=text + shown,
                              metavar=flag[2:].replace("-", "_").upper())
-    return parser
+    return parser, subparsers.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) gives, parsed by the command's
+    own subparser when argv starts with one; the top-level parser runs only
+    for help, no command or an unknown one.  An unrecognized flag is then
+    reported under the command's usage line."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    return commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
@@ -406,12 +437,12 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
     for flag, (name, _type, _help) in _FLAGS.items():
         if name in given and name in unread:
             raise ValueError(f"{flag} is not read by {command} --axis1 {axis1}")
-    gate = replace(gate, **{name: given.pop(name) for name in _GATE_FIELDS & given.keys()})
-    return SweepSpec(gate=gate, **given)
+    gate_flags = {name: given.pop(name) for name in _GATE_FIELDS & given.keys()}
+    return SweepSpec(gate=replace(gate, **gate_flags) if gate_flags else gate, **given)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         spec = _spec_from_args(args)
     except ValueError as exc:

@@ -142,6 +142,8 @@ class CountRecord(_Value):
     def __post_init__(self):
         _check_flux(self.mean_flux)
         given = np.asarray(self.counts)
+        if given.dtype.kind == "b":
+            raise ValueError("counts must be whole numbers, not booleans")
         if not (np.isfinite(given).all() and (given == np.trunc(given)).all()):
             raise ValueError("counts must be whole numbers")
         # The int64 cast is checked first: out of range it warns and wraps.
@@ -255,6 +257,8 @@ def analyzer_distribution(signal: QState, theta: float) -> OutcomeDistribution:
     the -1 outcome of the tilted observable y(theta), so the port
     probabilities are the Born rule of the y(theta) effects.
     """
+    if signal.dim != 2:
+        raise ValueError(f"dimension mismatch: {signal.dim} vs 2")
     _check_finite("angle theta", theta)
     return OutcomeDistribution((-1.0, +1.0), _born(signal.matrix, _tilted_effects(theta)))
 
@@ -299,8 +303,10 @@ def _gated_signals(signals: np.ndarray, params: GateParams, meter_v) -> np.ndarr
     success probability is at or below PROBABILITY_FLOOR.
     """
     gated = _gate_multiplier(params, meter_v) * signals
-    success = np.trace(gated, axis1=-2, axis2=-1).real
-    _check_success(success.min())
+    # The trace's real part as np.trace sums it: its sum starts at +0.0,
+    # so two -0.0 entries give +0.0, which the trailing + 0.0 keeps.
+    success = gated[..., 0, 0].real + gated[..., 1, 1].real + 0.0
+    _check_success(np.minimum.reduce(success, axis=None))
     gated /= success[..., None, None]
     return gated
 

@@ -16,9 +16,10 @@ _Hermitian, and each checks its own spectrum.  The family builders
 make_state, observable_y and observable_x (and photonics.prepare_signal)
 check their scalar parameters instead, finiteness included, and then
 build a value that is valid by construction: they skip the matrix checks
-through the private _Value._trusted.  The family state has two builders
-with the same bytes: _family_state builds one matrix from Python scalars
-in a single array call (make_state, photonics.prepare_signal), and
+through the private _Value._trusted, which fills the one field of
+QState, Effect or Observable.  The family state has two builders with
+the same bytes: _family_state builds one matrix from Python scalars as
+one flat array (make_state, photonics.prepare_signal), and
 _family_states is the stacked kernel that builds every axis state of a
 CLI sweep at once.  Matrices that carry round-off, such as the outputs
 of luders_channel, post_measurement_state and gate_channel, always go
@@ -62,16 +63,16 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in _field_names(type(self)))
 
     @classmethod
-    def _trusted(cls, *field_values):
-        """An instance from field values that are valid by construction,
-        without running __post_init__.  Only for values the library has
-        just built from checked parameters; the arrays among them must be
-        fresh, and are made read-only as the checked path leaves them."""
+    def _trusted(cls, field_value):
+        """An instance of a one-field type from a field value that is valid
+        by construction, without running __post_init__.  Only for values
+        the library has just built from checked parameters; an array must
+        be fresh, and is made read-only as the checked path leaves it."""
+        (name,) = _field_names(cls)
+        if isinstance(field_value, np.ndarray):
+            _read_only(field_value)
         value = object.__new__(cls)
-        for name, field_value in zip(_field_names(cls), field_values):
-            if isinstance(field_value, np.ndarray):
-                _read_only(field_value)
-            object.__setattr__(value, name, field_value)
+        object.__setattr__(value, name, field_value)
         return value
 
 
@@ -274,7 +275,8 @@ def _family_states(p, off) -> np.ndarray:
 
 def _family_state(p: float, magnitude: float, phi: float) -> np.ndarray:
     """One qubit state [[1-p, conj(off)], [off, p]] with off =
-    magnitude * exp(i*phi), built from Python scalars in one array call.
+    magnitude * exp(i*phi), built from Python scalars as one flat array
+    and reshaped.
 
     The scalar builder behind make_state and photonics.prepare_signal; its
     bytes equal _family_states(p, magnitude * np.exp(1j * phi)).  Callers
@@ -286,7 +288,7 @@ def _family_state(p: float, magnitude: float, phi: float) -> np.ndarray:
     # 1j * phi has imaginary part 0.0 + phi, +0.0 at phi = -0.0; the
     # sine takes the same argument, so signed zeros match too.
     off = float(magnitude) * complex(math.cos(phi), math.sin(0.0 + phi))
-    return np.array(((1.0 - p, off.conjugate()), (off, p)), dtype=np.complex128)
+    return np.array((1.0 - p, off.conjugate(), off, p), dtype=np.complex128).reshape(2, 2)
 
 
 def make_state(p: float, gamma: float, phi: float = 0.0) -> QState:

@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import re
 import weakref
 
 import numpy as np
@@ -29,6 +30,7 @@ from measurement_coherence import (
     sequential_joint,
 )
 from measurement_coherence import criterion
+from measurement_coherence.channels import _checked_probabilities
 from measurement_coherence.photonics import CountRecord
 from conftest import diagonal_povm, random_density, random_povm, random_pure, random_sharp
 
@@ -73,6 +75,49 @@ class TestOutcomeDistributionType:
     def test_rejects_non_finite_values(self, value):
         with pytest.raises(ValueError, match="outcome values must be finite"):
             OutcomeDistribution((-1.0, value), [0.5, 0.5])
+
+
+def clip_form_checked_probabilities(probabilities):
+    """_checked_probabilities with the minimum and the clamp taken by the
+    ndarray methods .min() and .clip(0.0, None)."""
+    probs = np.asarray(probabilities, dtype=float)
+    lowest = probs.min()
+    if not lowest >= -1e-12:
+        raise ValueError(f"negative probability {lowest}")
+    probs = probs.clip(0.0, None)
+    sums = probs.sum(axis=-1)
+    worst = abs(sums - 1.0).argmax()
+    if not abs(float(sums.flat[worst]) - 1.0) <= 1e-10:
+        raise ValueError(f"probabilities sum to {sums.flat[worst]}")
+    return probs
+
+
+# Signed zeros, round-off negatives down to -1e-13, and ones that fail.
+_PROBABILITY_ENTRIES = (
+    st.sampled_from((0.0, -0.0, -5e-324, -1e-16, -1e-13, -2e-12, 1.0, np.nan))
+    | st.floats(-1e-13, 0.0) | st.floats(0.0, 1.0))
+
+
+class TestCheckedProbabilities:
+    @settings(max_examples=400, deadline=None)
+    @given(stack=st.lists(st.tuples(_PROBABILITY_ENTRIES, _PROBABILITY_ENTRIES),
+                          min_size=1, max_size=6),
+           complement=st.booleans())
+    @example(stack=[(-0.0, 1.0), (1.0, -1e-13)], complement=False)
+    @example(stack=[(-0.0, -0.0)], complement=True)
+    def test_matches_the_clip_form_bit_for_bit(self, stack, complement):
+        probabilities = np.array(stack)
+        if complement:  # second outcome 1 - first, so the sums mostly pass
+            probabilities[:, 1] = 1.0 - probabilities[:, 0]
+        try:
+            expected = clip_form_checked_probabilities(probabilities)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                _checked_probabilities(probabilities)
+            return
+        got = _checked_probabilities(probabilities)
+        assert got.tobytes() == expected.tobytes()
+        assert got.shape == expected.shape and not got.flags.writeable
 
 
 class TestJointDistributionType:

@@ -1,5 +1,6 @@
 """Sweep commands: schemas, reproducibility, anchors, exit codes."""
 
+import contextlib
 import io
 import json
 import math
@@ -578,6 +579,18 @@ class TestSimulate:
         assert abs(peak["sampled_dv"] - peak["analytic_dv"]) < 5 * peak["std_err"]
 
 
+def parse_outcome(parse, argv):
+    """The parsed namespace as the repr of its sorted items, so that NaN
+    equals itself and -0.0 differs from 0.0; or the exit code and stderr
+    of a parse that fails."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return repr(sorted(vars(parse(argv)).items()))
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+
+
 class TestExitCodes:
     def test_bad_grid_is_a_usage_error(self, tmp_path):
         code = run_main(["sweep-pure", "--a1-steps", 1, "--out", tmp_path / "x.csv"])
@@ -730,6 +743,48 @@ class TestExitCodes:
             capture_output=True,
         )
         assert proc.returncode == 2
+
+    def test_unknown_flag_is_reported_under_the_command_usage(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--no-such-flag"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: measurement-coherence simulate")
+        assert err.endswith(
+            "measurement-coherence simulate: error: unrecognized arguments: --no-such-flag\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        ([], 2),
+        (["bogus"], 2),
+        (["simulate", "--help"], 0),
+        (["simulate", "--a1-steps", "x"], 2),
+        (["--", "simulate", "--a1-steps", "x"], 2),
+    ])
+    def test_parser_exits_as_the_top_level_parser_does(self, argv, code, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == code
+        expected = capsys.readouterr()
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == code
+        assert capsys.readouterr() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), command=st.sampled_from(sorted(cli._COMMANDS)))
+    def test_command_parser_gives_the_top_level_namespace(self, data, command):
+        values = {
+            str: st.sampled_from(("p", "gamma", "csv", "json", "out.csv", "")),
+            int: st.integers(-(2**70), 2**70).map(str),
+            float: st.floats().map(repr) | st.sampled_from(("1e5", "-0", "nan", "-inf")),
+        }
+        argv = [command]
+        for flag in data.draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=8)):
+            value = data.draw(values[_FLAGS[flag][1]])
+            argv += [f"{flag}={value}"] if data.draw(st.booleans()) else [flag, value]
+        assert parse_outcome(cli._parse_args, argv) == parse_outcome(
+            build_parser().parse_args, argv)
 
     def test_success_exits_0(self, capsys):
         code = run_main(

@@ -31,7 +31,8 @@ from measurement_coherence import (
     run_setting,
     sample_counts,
 )
-from measurement_coherence.photonics import _poisson_counts
+from measurement_coherence.photonics import (
+    _METER_V, _check_success, _gate_multiplier, _gated_signals, _poisson_counts)
 from measurement_coherence.qubit import _family_states
 from conftest import assert_passes_public_checks, random_density
 
@@ -247,6 +248,11 @@ class TestAnalyzer:
             with pytest.raises(ValueError, match="finite"):
                 analyzer_distribution(make_state(0.3, 0.9), value)
 
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    def test_state_of_another_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: {dim} vs 2$"):
+            analyzer_distribution(QState(np.eye(dim) / dim), 0.3)
+
 
 class TestRunSetting:
     def test_perturbed_mode_realizes_the_dephasing_channel(self):
@@ -330,6 +336,46 @@ class TestRunSetting:
             rtol=0.0,
             atol=1e-12,
         )
+
+
+def trace_form_gated_signals(signals, params, meter_v):
+    """_gated_signals with the success probability taken by np.trace."""
+    gated = _gate_multiplier(params, meter_v) * signals
+    success = np.trace(gated, axis1=-2, axis2=-1).real
+    _check_success(success.min())
+    gated /= success[..., None, None]
+    return gated
+
+
+# Signed zeros and round-off on both sides of zero, mixed with ordinary values.
+_SIGNAL_ENTRIES = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-13, -1e-13, 1e-15))
+                     | st.floats(-1.0, 1.0))
+
+
+class TestGatedSignals:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        entries=st.lists(_SIGNAL_ENTRIES, min_size=24, max_size=24),
+        t_h=st.floats(0.0, 1.0),
+        t_v=st.floats(0.0, 1.0),
+        visibility=st.floats(0.0, 1.0),
+    )
+    @example(entries=[-0.0] * 24, t_h=1.0, t_v=1.0 / 3.0, visibility=1.0)
+    @example(entries=[0.5, -0.0, -0.0, 0.5] + [-0.0] * 20, t_h=0.0, t_v=0.5, visibility=1.0)
+    def test_success_is_the_trace_bit_for_bit(self, entries, t_h, t_v, visibility):
+        # three (2, 2) signals, real parts first, each against both meter runs
+        signals = (np.reshape(entries[:12], (3, 2, 2))
+                   + 1j * np.reshape(entries[12:], (3, 2, 2)))[:, None]
+        params = GateParams(t_h=t_h, t_v=t_v, visibility=visibility)
+        try:
+            expected = trace_form_gated_signals(signals, params, _METER_V)
+        except PostSelectionError as exc:
+            with pytest.raises(PostSelectionError, match=f"^{re.escape(str(exc))}$"):
+                _gated_signals(signals, params, _METER_V)
+            return
+        got = _gated_signals(signals, params, _METER_V)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSampleCounts:
@@ -436,6 +482,11 @@ class TestSampleCounts:
         record = CountRecord((-1.0, +1.0), [2.0, 3.0], 10.0)
         np.testing.assert_array_equal(record.counts, [2, 3])
         assert record.counts.dtype == np.int64
+
+    @pytest.mark.parametrize("counts", [np.array([True, False]), [True, False]])
+    def test_boolean_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="^counts must be whole numbers, not booleans$"):
+            CountRecord((-1.0, 1.0), counts, 10.0)
 
     @pytest.mark.parametrize("count", [2.0**63, 1e300, -1e300])
     def test_counts_beyond_int64_rejected(self, count):
