@@ -6,7 +6,8 @@ Four subcommands emit one record per grid point as CSV or JSON:
 * sweep-mixed     mixed states: grid over gamma and the analysis angle at
                   a fixed preparation wave-plate angle.
 * max-violation   analysis angle pinned to 90 degrees; violation and
-                  squared trace distance against p or gamma.
+                  squared trace distance against p, or against gamma at
+                  the wave-plate angle 22.5 degrees.
 * simulate        full photonic model (gate imperfections, Poisson
                   counts) for both meter configurations per setting.
 
@@ -16,11 +17,12 @@ reads the fixed value of the axis it sweeps (--gamma with --axis1 gamma,
 --alpha with --axis1 p).  --alpha lies in [0, 45] degrees; with gamma in
 [-1, 1] that reaches every state of the family.
 
-main parses an argv that starts with a command by that command's own
-subparser, the one build_parser hands it to, and runs the top-level
-parser only for help, no command or an unknown one; the namespace is
-the same, and an unrecognized flag is reported under the command's usage
-line.
+main(argv) runs a sweep, from the shell and from Python alike, and
+returns the exit status; the records are the rows it writes.  It parses
+an argv that starts with a command by that command's own subparser, the
+one build_parser hands it to, and runs the top-level parser only for
+help, no command or an unknown one; the namespace is the same, and an
+unrecognized flag is reported under the command's usage line.
 
 Angles are accepted in degrees and converted internally.  Each sweep
 computes its grid in engine blocks of up to 16384 points, each a
@@ -128,20 +130,8 @@ class SweepSpec:
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a sweep."""
-
-    axis1: float
-    theta: float  # degrees
-    analytic_dv: float
-    sampled_dv: float
-    std_err: float
-    z: float
-    trdist_sq: float
-
-
-CSV_FIELDS = tuple(f.name for f in fields(SweepRecord))
+# The columns of every record, in output order; theta is in degrees.
+CSV_FIELDS = ("axis1", "theta", "analytic_dv", "sampled_dv", "std_err", "z", "trdist_sq")
 
 
 _ENGINE_POINTS = 16384  # grid points per engine block
@@ -316,41 +306,6 @@ def _write_rows(spec: SweepSpec, blocks: Iterator[tuple[np.ndarray, ...]]) -> No
         except OSError:
             pass  # the sweep's own error is the one to report
         raise
-
-
-def _emit(spec: SweepSpec, blocks: Iterator[tuple[np.ndarray, ...]]) -> list[SweepRecord]:
-    blocks = list(blocks)  # the records hold the whole grid anyway
-    _write_rows(spec, iter(blocks))
-    return [SweepRecord(*row) for columns in blocks
-            for row in zip(*(column.ravel().tolist() for column in np.broadcast_arrays(*columns)))]
-
-
-def cmd_sweep(spec: SweepSpec) -> list[SweepRecord]:
-    """Violation surface over (axis1, theta): p at fixed gamma, or gamma at a
-    fixed wave-plate angle."""
-    return _emit(spec, _sweep_rows(spec, _family_column))
-
-
-def cmd_max_violation(spec: SweepSpec) -> list[SweepRecord]:
-    """Violation at the maximally incompatible analysis angle (90 degrees).
-
-    Sweeps p at fixed gamma, or gamma at p = sin^2(45 degrees), which is
-    0.4999999999999999: on the gamma axis it sets alpha_deg = 22.5
-    whatever the spec holds, and it ignores the theta fields.  The
-    analytic violation column equals the squared trace distance column
-    here, to round-off.
-    """
-    return _emit(spec, _max_violation_rows(spec, _family_column))
-
-
-def cmd_simulate(spec: SweepSpec) -> list[SweepRecord]:
-    """Full photonic Monte Carlo; the analytic column is the gate model's own
-    noise-free prediction, so sampled vs analytic isolates shot noise.
-
-    The gate is spec.gate: the ideal GateParams() unless the spec names
-    another, whereas the simulate subcommand defaults to MEASURED_GATE.
-    """
-    return _emit(spec, _sweep_rows(spec, _gated_means_column))
 
 
 # flag: (SweepSpec or GateParams field, type, help).  The parser sets only

@@ -53,7 +53,6 @@ from .channels import (
     measurement_coherence_witness,
 )
 from .qubit import (
-    CONSTRUCTION_TOL,
     Observable,
     QState,
     _born,
@@ -63,6 +62,7 @@ from .qubit import (
     _qubit_trace_norm,
     _read_only,
     _trace_norm,
+    _variance_floor,
     _variances,
 )
 
@@ -131,10 +131,10 @@ def _moment_operators(
 
 def _clamped_variance(mean_sq: float, mean: float) -> float:
     """<y^2> - <y>^2 from the two moments; as in qubit._variances,
-    round-off negatives above qubit._variance_floor (written out here for
-    two floats) are clamped and anything below it, or NaN, is an error."""
+    round-off negatives above qubit._variance_floor are clamped and
+    anything below it, or NaN, is an error."""
     var = mean_sq - mean * mean
-    if not var >= -CONSTRUCTION_TOL * max(mean_sq, 1.0):
+    if not var >= _variance_floor(mean_sq):
         raise ValueError(f"variance evaluated to {var}")
     return max(var, 0.0)
 

@@ -1,11 +1,13 @@
-"""Shared helpers: reproducible RNGs and random quantum objects."""
+"""Shared helpers: reproducible RNGs, random quantum objects, and the rows
+that a sweep command writes."""
 
+import pathlib
 import pickle
 
 import numpy as np
 import pytest
 
-from measurement_coherence import Effect, Observable, QState
+from measurement_coherence import Effect, Observable, QState, cli
 
 
 @pytest.fixture
@@ -102,3 +104,20 @@ def assert_passes_public_checks(value) -> None:
             assert checked.flags.writeable is False
             assert (built.dtype, built.shape) == (checked.dtype, checked.shape)
             assert built.tobytes() == checked.tobytes()
+
+
+def read_csv(path):
+    """The header of a CSV sweep file and its rows, each a dict of floats
+    keyed by column."""
+    lines = pathlib.Path(path).read_text().strip().splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+    return header, rows
+
+
+def sweep_rows(argv, path) -> list[dict[str, float]]:
+    """Run a command through cli.main, with --out path, and read back the
+    rows it wrote.  Pass a flag's value as "--flag=value": argparse takes a
+    separate negative value with an exponent, such as -1e-05, for a flag."""
+    assert cli.main([str(arg) for arg in argv] + ["--out", str(path)]) == 0
+    return read_csv(path)[1]

@@ -34,7 +34,8 @@ from measurement_coherence import (
     sequential_joint,
     total_probability_residual,
 )
-from measurement_coherence.cli import SweepSpec, cmd_sweep
+
+from conftest import sweep_rows
 
 IDEAL_GATE = GateParams()
 MEASURED = GateParams(t_h=0.985, t_v=0.324, visibility=1.0)
@@ -228,35 +229,30 @@ def check_7_monte_carlo_convergence() -> str:
 def check_8_figure_level_regression(tmp_dir: str) -> str:
     import os
 
-    path_a = os.path.join(tmp_dir, "pure_cut.csv")
-    records_a = cmd_sweep(
-        SweepSpec(
-            axis1="p", a1_min=0.165, a1_max=0.552, a1_steps=2,
-            theta_min_deg=0.0, theta_max_deg=90.0, theta_steps=4,
-            flux=1000.0, out=path_a,
-        )
+    records_a = sweep_rows(
+        ["sweep-pure", "--a1-min=0.165", "--a1-max=0.552", "--a1-steps=2",
+         "--theta-min=0.0", "--theta-max=90.0", "--theta-steps=4", "--flux=1000.0"],
+        os.path.join(tmp_dir, "pure_cut.csv"),
     )
-    by_point = {(round(r.axis1, 4), round(r.theta, 4)): r for r in records_a}
-    anchor_552 = by_point[(0.552, 90.0)].analytic_dv
-    anchor_165 = by_point[(0.165, 90.0)].analytic_dv
+    by_point = {(round(r["axis1"], 4), round(r["theta"], 4)): r for r in records_a}
+    anchor_552 = by_point[(0.552, 90.0)]["analytic_dv"]
+    anchor_165 = by_point[(0.165, 90.0)]["analytic_dv"]
     assert abs(anchor_552 - 4 * 0.552 * 0.448) <= 1e-9, f"p=0.552 anchor {anchor_552}"
     assert abs(anchor_165 - 4 * 0.165 * 0.835) <= 1e-9, f"p=0.165 anchor {anchor_165}"
-    sign_low = by_point[(0.165, 30.0)].analytic_dv
+    sign_low = by_point[(0.165, 30.0)]["analytic_dv"]
     assert sign_low < -1e-9, f"expected negative violation at small tilt, got {sign_low}"
     assert anchor_165 > 1e-9
     for record in records_a:
-        expected = analytic_delta_v(record.axis1, 1.0, math.radians(record.theta))
-        assert abs(record.analytic_dv - expected) <= 1e-9
+        expected = analytic_delta_v(record["axis1"], 1.0, math.radians(record["theta"]))
+        assert abs(record["analytic_dv"] - expected) <= 1e-9
 
-    path_b = os.path.join(tmp_dir, "pure_symmetry.csv")
-    records_b = cmd_sweep(
-        SweepSpec(
-            axis1="p", a1_min=0.165, a1_max=0.835, a1_steps=5,
-            theta_min_deg=45.0, theta_max_deg=90.0, theta_steps=2,
-            flux=1000.0, out=path_b,
-        )
+    records_b = sweep_rows(
+        ["sweep-pure", "--a1-min=0.165", "--a1-max=0.835", "--a1-steps=5",
+         "--theta-min=45.0", "--theta-max=90.0", "--theta-steps=2", "--flux=1000.0"],
+        os.path.join(tmp_dir, "pure_symmetry.csv"),
     )
-    at_quarter = {round(r.axis1, 6): r.analytic_dv for r in records_b if r.theta == 90.0}
+    at_quarter = {round(r["axis1"], 6): r["analytic_dv"] for r in records_b
+                  if r["theta"] == 90.0}
     for p_value, value in at_quarter.items():
         mirrored = at_quarter[round(1.0 - p_value, 6)]
         assert abs(value - mirrored) <= 1e-9, f"asymmetry at p={p_value}"

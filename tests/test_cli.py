@@ -7,12 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from dataclasses import astuple, fields
+from dataclasses import fields
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -37,21 +38,12 @@ from measurement_coherence.cli import (
     CSV_FIELDS,
     SweepSpec,
     build_parser,
-    cmd_max_violation,
-    cmd_simulate,
-    cmd_sweep,
     main,
 )
 
+from conftest import read_csv, sweep_rows
 from test_criterion import oracle_delta_v
 from test_photonics import reference_distribution
-
-
-def read_csv(path):
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
-    return header, rows
 
 
 def run_main(args):
@@ -222,14 +214,15 @@ class TestEngineBlocks:
     @pytest.mark.parametrize(
         "command, axis1",
         [("sweep-pure", "p"), ("sweep-mixed", "gamma"), ("max-violation", "p"),
-         ("max-violation", "gamma"), ("simulate", "p"), ("simulate", "gamma")],
+         ("max-violation", "gamma"), ("simulate", "p"), ("simulate", "gamma"),
+         ("simulate --th 0.9 --tv 0.8 --visibility 0.7", "p")],  # a command and its flags
     )
     def test_block_size_leaves_the_bytes_unchanged(self, command, axis1, tmp_path, monkeypatch):
         # 3600 points: one default block, four blocks of 1000
         grid = ["--a1-steps", 3600] if command == "max-violation" else [
             "--a1-steps", 60, "--theta-steps", 60]
         for seed, fmt in ((3, "csv"), (11, "json")):
-            argv = [command, "--axis1", axis1, *grid, "--seed", seed, "--format", fmt]
+            argv = [*command.split(), "--axis1", axis1, *grid, "--seed", seed, "--format", fmt]
             assert run_main(argv + ["--out", tmp_path / "default"]) == 0
             # 7 points split each 60-point theta row into unequal pieces
             for points in (1000, 7):
@@ -237,26 +230,6 @@ class TestEngineBlocks:
                     patch.setattr(cli, "_ENGINE_POINTS", points)
                     assert run_main(argv + ["--out", tmp_path / "blocks"]) == 0
                 assert (tmp_path / "blocks").read_bytes() == (tmp_path / "default").read_bytes()
-
-    def test_commands_return_the_records_of_every_block(self, monkeypatch):
-        spec = SweepSpec(axis1="p", a1_steps=30, theta_steps=30, gate=GateParams(0.9, 0.8, 0.7),
-                         out=os.devnull)
-        whole = cmd_simulate(spec)
-        monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
-        assert len(whole) == 900
-        assert cmd_simulate(spec) == whole
-
-    @pytest.mark.parametrize(
-        "run, grid",
-        [(cmd_simulate, {"a1_steps": 3, "theta_steps": 150}),  # theta rows split in two
-         (cmd_max_violation, {"a1_steps": 250})],
-    )
-    def test_commands_return_the_rows_they_wrote(self, run, grid, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_ENGINE_POINTS", 100)
-        out = tmp_path / "sweep.csv"
-        records = run(SweepSpec(axis1="p", out=str(out), **grid))
-        _header, rows = read_csv(out)
-        assert [astuple(record) for record in records] == [tuple(row.values()) for row in rows]
 
     def test_a_gate_that_vanishes_late_fails_before_the_first_block(self, monkeypatch, capsys):
         # Each block gates only its own axis values, and this gate vanishes
@@ -445,23 +418,20 @@ class TestEngineBlocks:
 
 class TestSweepPure:
     def test_figure_anchors(self, tmp_path):
-        out = tmp_path / "pure.csv"
-        spec = SweepSpec(
-            axis1="p", a1_min=0.165, a1_max=0.552, a1_steps=2,
-            theta_min_deg=0.0, theta_max_deg=90.0, theta_steps=2,
-            flux=1000.0, out=str(out),
-        )
-        records = cmd_sweep(spec)
-        by_point = {(round(r.axis1, 3), r.theta): r for r in records}
-        assert by_point[(0.552, 90.0)].analytic_dv == pytest.approx(
+        records = sweep_rows(
+            ["sweep-pure", "--a1-min", 0.165, "--a1-max", 0.552, "--a1-steps", 2,
+             "--theta-min", 0.0, "--theta-max", 90.0, "--theta-steps", 2, "--flux", 1000.0],
+            tmp_path / "pure.csv")
+        by_point = {(round(r["axis1"], 3), r["theta"]): r for r in records}
+        assert by_point[(0.552, 90.0)]["analytic_dv"] == pytest.approx(
             4 * 0.552 * 0.448, abs=1e-9
         )
-        assert by_point[(0.165, 90.0)].analytic_dv == pytest.approx(
+        assert by_point[(0.165, 90.0)]["analytic_dv"] == pytest.approx(
             4 * 0.165 * 0.835, abs=1e-9
         )
         for record in records:
-            if record.theta == 0.0:
-                assert abs(record.analytic_dv) <= 1e-12
+            if record["theta"] == 0.0:
+                assert abs(record["analytic_dv"]) <= 1e-12
 
     @pytest.mark.parametrize(
         "flag, value, expected", [("--a1-min", 0.5, [0.5, 1.0]), ("--a1-max", 0.5, [0.0, 0.5])]
@@ -484,24 +454,22 @@ class TestSweepPure:
 
 class TestSweepMixed:
     def test_gamma_axis_anchors(self, tmp_path):
-        out = tmp_path / "mixed.csv"
-        spec = SweepSpec(
-            axis1="gamma", a1_min=0.0, a1_max=1.0, a1_steps=2,
-            theta_min_deg=36.0, theta_max_deg=84.0, theta_steps=2,
-            alpha_deg=12.0, flux=1000.0, out=str(out),
-        )
-        records = cmd_sweep(spec)
+        records = sweep_rows(
+            ["sweep-mixed", "--a1-min", 0.0, "--a1-max", 1.0, "--a1-steps", 2,
+             "--theta-min", 36.0, "--theta-max", 84.0, "--theta-steps", 2,
+             "--alpha", 12.0, "--flux", 1000.0],
+            tmp_path / "mixed.csv")
         p_fixed = math.sin(math.radians(24.0)) ** 2
-        by_point = {(r.axis1, r.theta): r for r in records}
-        assert by_point[(1.0, 36.0)].analytic_dv == pytest.approx(
+        by_point = {(r["axis1"], r["theta"]): r["analytic_dv"] for r in records}
+        assert by_point[(1.0, 36.0)] == pytest.approx(
             oracle_delta_v(p_fixed, 1.0, math.radians(36.0)), abs=1e-9
         )
-        assert by_point[(1.0, 36.0)].analytic_dv < 0.0  # negative branch
-        assert by_point[(1.0, 84.0)].analytic_dv == pytest.approx(
+        assert by_point[(1.0, 36.0)] < 0.0  # negative branch
+        assert by_point[(1.0, 84.0)] == pytest.approx(
             oracle_delta_v(p_fixed, 1.0, math.radians(84.0)), abs=1e-9
         )
-        assert by_point[(0.0, 36.0)].analytic_dv == pytest.approx(0.0, abs=1e-12)
-        assert by_point[(0.0, 84.0)].analytic_dv == pytest.approx(0.0, abs=1e-12)
+        assert by_point[(0.0, 36.0)] == pytest.approx(0.0, abs=1e-12)
+        assert by_point[(0.0, 84.0)] == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_coherence_axis(self, tmp_path):
         code = run_main(["sweep-mixed", "--axis1", "p", "--out", tmp_path / "x.csv"])
@@ -510,31 +478,41 @@ class TestSweepMixed:
 
 class TestMaxViolation:
     def test_population_scan(self, tmp_path):
-        out = tmp_path / "max_p.csv"
-        spec = SweepSpec(
-            axis1="p", a1_min=0.1, a1_max=0.9, a1_steps=9,
-            flux=1000.0, out=str(out),
-        )
-        records = cmd_max_violation(spec)
-        assert all(r.theta == 90.0 for r in records)
-        by_p = {round(r.axis1, 3): r for r in records}
-        assert by_p[0.5].analytic_dv == pytest.approx(1.0, abs=1e-12)
+        records = sweep_rows(
+            ["max-violation", "--a1-min", 0.1, "--a1-max", 0.9, "--a1-steps", 9,
+             "--flux", 1000.0],
+            tmp_path / "max_p.csv")
+        assert all(r["theta"] == 90.0 for r in records)
+        by_p = {round(r["axis1"], 3): r for r in records}
+        assert by_p[0.5]["analytic_dv"] == pytest.approx(1.0, abs=1e-12)
         for record in records:
             # the violation equals the squared trace distance here
-            assert record.analytic_dv == pytest.approx(record.trdist_sq, abs=1e-12)
-            mirrored = by_p[round(1.0 - record.axis1, 3)]
-            assert record.analytic_dv == pytest.approx(mirrored.analytic_dv, abs=1e-9)
+            assert record["analytic_dv"] == pytest.approx(record["trdist_sq"], abs=1e-12)
+            mirrored = by_p[round(1.0 - record["axis1"], 3)]
+            assert record["analytic_dv"] == pytest.approx(mirrored["analytic_dv"], abs=1e-9)
+
+    @pytest.mark.parametrize("grid", [[], ["--a1-steps", 40000, "--a1-min=-1"]],
+                             ids=["50", "40000"])
+    def test_coherence_scan_violation_is_the_trace_distance_text(self, grid, tmp_path):
+        # At p = 0.4999999999999999 the closed form at 90 degrees and
+        # 4 off^2 agree to the last digit in every cell; on the p axis they
+        # differ by round-off, as test_population_scan allows.
+        out = tmp_path / "max_g.csv"
+        assert run_main(["max-violation", "--axis1", "gamma", *grid, "--out", out]) == 0
+        header, *lines = out.read_text().splitlines()
+        analytic, trdist_sq = (header.split(",").index(name) for name in ("analytic_dv", "trdist_sq"))
+        rows = [line.split(",") for line in lines]
+        assert len(rows) == (40000 if grid else 50)
+        assert [row[analytic] for row in rows] == [row[trdist_sq] for row in rows]
 
     def test_coherence_scan_fixes_balanced_population(self, tmp_path):
-        out = tmp_path / "max_g.csv"
-        spec = SweepSpec(
-            axis1="gamma", a1_min=0.5, a1_max=1.0, a1_steps=2,
-            flux=1000.0, out=str(out),
-        )
-        records = cmd_max_violation(spec)
-        by_gamma = {r.axis1: r for r in records}
-        assert by_gamma[0.5].analytic_dv == pytest.approx(0.25, abs=1e-12)
-        assert by_gamma[1.0].analytic_dv == pytest.approx(1.0, abs=1e-12)
+        records = sweep_rows(
+            ["max-violation", "--axis1", "gamma", "--a1-min", 0.5, "--a1-max", 1.0,
+             "--a1-steps", 2, "--flux", 1000.0],
+            tmp_path / "max_g.csv")
+        by_gamma = {r["axis1"]: r["analytic_dv"] for r in records}
+        assert by_gamma[0.5] == pytest.approx(0.25, abs=1e-12)
+        assert by_gamma[1.0] == pytest.approx(1.0, abs=1e-12)
 
     def test_coherence_scan_rejects_explicit_alpha(self, tmp_path):
         code = run_main(
@@ -875,13 +853,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=r"flux=1e\+19 exceeds MAX_FLUX=1e\+18"):
             SweepSpec(axis1="p", flux=1e19)
 
-    def test_simulate_rejects_gamma_outside_domain(self, tmp_path):
-        with pytest.raises(ValueError, match="gamma"):
-            cmd_simulate(SweepSpec(axis1="p", gamma=1.5, out=str(tmp_path / "x.csv")))
+    def test_simulate_rejects_gamma_outside_domain(self, tmp_path, capsys):
+        assert run_main(["simulate", "--gamma", 1.5, "--out", tmp_path / "x.csv"]) == 2
+        assert capsys.readouterr().err == "usage error: gamma=1.5 outside [-1, 1]\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestEngineMatchesObjectPath:
-    """Every record of the batched grid engine against the per-object API."""
+    """Every row a command writes against the per-object API."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -903,9 +882,11 @@ class TestEngineMatchesObjectPath:
             axis1=axis1, a1_min=a1_min, a1_max=a1_max, a1_steps=steps[0],
             theta_min_deg=theta_range[0], theta_max_deg=theta_range[1],
             theta_steps=steps[1], gamma=fixed[0], alpha_deg=fixed[1],
-            gate=GateParams(*gate), out=os.devnull,
+            gate=GateParams(*gate),
         )
-        check_records(spec, command)
+        if command == "sweep":
+            command = "sweep-pure" if axis1 == "p" else "sweep-mixed"
+        check_records(command, spec)
 
     def test_records_match_next_to_p_one(self):
         # the coherence sqrt(p (1 - p)) is ill-conditioned here, so the
@@ -914,31 +895,44 @@ class TestEngineMatchesObjectPath:
         spec = SweepSpec(
             axis1="p", a1_min=0.5, a1_max=0.9999999999999999, a1_steps=2,
             theta_min_deg=0.0, theta_max_deg=90.0, theta_steps=3,
-            gate=GateParams(1.0, 0.5, 0.0), out=os.devnull,
+            gate=GateParams(1.0, 0.5, 0.0),
         )
-        check_records(spec, "simulate")
+        check_records("simulate", spec)
 
 
-def check_records(spec, command):
-    """Run one sweep and check each record against the per-object API; the
-    simulated column goes through the 4x4 reference gate."""
-    run = {"sweep": cmd_sweep, "max-violation": cmd_max_violation,
-           "simulate": cmd_simulate}[command]
-    records = run(spec)
+def check_records(command, spec):
+    """Run the command on spec's grid through cli.main and check each row it
+    writes against the per-object API; the simulated column goes through
+    the 4x4 reference gate."""
+    # A flag the command does not read on this axis is a usage error;
+    # every command reads the gate's.
+    flags = {"--axis1": spec.axis1, "--a1-min": spec.a1_min, "--a1-max": spec.a1_max,
+             "--a1-steps": spec.a1_steps, "--th": spec.gate.t_h, "--tv": spec.gate.t_v,
+             "--visibility": spec.gate.visibility}
+    if command != "max-violation":
+        flags.update({"--theta-min": spec.theta_min_deg, "--theta-max": spec.theta_max_deg,
+                      "--theta-steps": spec.theta_steps})
+    if spec.axis1 == "p":
+        flags["--gamma"] = spec.gamma
+    elif command != "max-violation":
+        flags["--alpha"] = spec.alpha_deg
+    with tempfile.TemporaryDirectory() as tmp:
+        records = sweep_rows([command] + [f"{flag}={value}" for flag, value in flags.items()],
+                             os.path.join(tmp, "sweep.csv"))
 
     thetas = [90.0] if command == "max-violation" else list(
         np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
     )
     grid = [(a, t) for a in np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
             for t in thetas]
-    assert [(r.axis1, r.theta) for r in records] == grid
+    assert [(r["axis1"], r["theta"]) for r in records] == grid
     alpha_deg = 22.5 if command == "max-violation" else spec.alpha_deg
     for record in records:
         if spec.axis1 == "p":
-            p, gamma = record.axis1, spec.gamma
+            p, gamma = record["axis1"], spec.gamma
         else:
-            p, gamma = math.sin(2.0 * math.radians(alpha_deg)) ** 2, record.axis1
-        theta = math.radians(record.theta)
+            p, gamma = math.sin(2.0 * math.radians(alpha_deg)) ** 2, record["axis1"]
+        theta = math.radians(record["theta"])
         state = make_state(p, gamma)
         report = delta_v(state, observable_x(), observable_y(theta))
         if command == "simulate":
@@ -948,6 +942,7 @@ def check_records(spec, command):
             )
         else:
             expected = report.delta_v
-        assert abs(record.analytic_dv - expected) <= 1e-12
-        assert abs(record.trdist_sq - report.trace_norm_sq) <= 1e-12
-        assert record.z == (record.sampled_dv / record.std_err if record.std_err > 0 else 0.0)
+        assert abs(record["analytic_dv"] - expected) <= 1e-12
+        assert abs(record["trdist_sq"] - report.trace_norm_sq) <= 1e-12
+        sampled, std_err = record["sampled_dv"], record["std_err"]
+        assert record["z"] == (sampled / std_err if std_err > 0 else 0.0)
