@@ -21,26 +21,28 @@ Each variance needs only two expectations, <B> and <A>, of the moment
 operators B = sum_y y E_y and A = sum_y y^2 E_y.  The first measurement's
 Lueders channel Phi is self-dual, so the dephased expectations are
 tr(rho' X) = tr(rho Phi(X)).  delta_v therefore builds, once per
-(first, second) pair, a probe matrix of shape (d^2, 4 + d^2) and the
-witness of the second measurement in the first one's basis, and keeps
-both in one memo on second (Observable._pairs).  The probe's first four
-columns are B, A, Phi(B) and Phi(A), each transposed and flattened, so
-that flat(rho) @ column is tr(rho X); the last d^2 are I - Phi, which
-map flat(rho) to flat(rho - rho').  Per state delta_v makes one
-dimension test (the two _check_same_dim calls run only when it fails,
-to name the mismatch) and takes one product of the flattened state with
-the probe: four moments for the variances and the difference rho - rho',
-whose trace norm is taken in closed form at d = 2
-(qubit._qubit_trace_norm) and by eigvalsh above.  The variances are
-taken inline; _clamped_variance, with its round-off floor and clamp,
-runs only when one of them is negative or NaN.  A pair used for a single
-state pays the build on the call, of which the witness
-(channels.measurement_coherence_witness) is one part.
+(first, second) pair, a probe matrix of shape (d^2, 4 + d^2)
+(_pair_probe) and the witness of the second measurement in the first
+one's basis, and keeps both in one memo on second (Observable._pairs).
+The probe's first four columns are B, A, Phi(B) and Phi(A), each
+transposed and flattened, so that flat(rho) @ column is tr(rho X); the
+last d^2 are I - Phi, which map flat(rho) to flat(rho - rho').  Per
+state delta_v makes one dimension test (the two _check_same_dim calls
+run only when it fails, to name the mismatch) and takes one product of
+the flattened state with the probe: four moments for the variances and
+the difference rho - rho', whose trace norm is taken in closed form at
+d = 2 (qubit._qubit_trace_norm) and by eigvalsh above.  The variances
+are taken inline; qubit._checked_variances, the library's one variance
+rule with its round-off floor and clamp, runs only when one of them is
+negative or NaN, on the direct run and then on the dephased one.  A
+pair used for a single state pays the build on the call, of which the
+witness (channels.measurement_coherence_witness) is one part.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +61,10 @@ from .qubit import (
     _check_family_params,
     _check_finite,
     _check_same_dim,
+    _checked_variances,
     _qubit_trace_norm,
     _read_only,
     _trace_norm,
-    _variance_floor,
     _variances,
 )
 
@@ -103,40 +105,30 @@ def total_probability_residual(
     return float(np.max(np.abs(direct - dephased)))
 
 
-def _moment_operators(
-    values: np.ndarray, effects: np.ndarray, first_channel: np.ndarray
-) -> np.ndarray:
-    """B = sum_y y E_y, A = sum_y y^2 E_y, Phi(B) and Phi(A), stacked
-    read-only to shape (..., 4, d, d).
+def _pair_probe(first: Observable, second: Observable) -> np.ndarray:
+    """delta_v's read-only (d^2, 4 + d^2) probe for first, then second.
 
-    values has shape (..., Y) and effects (..., Y, d, d); first_channel is
-    the first measurement's Lueders matrix Phi (Observable._channel).
-    Phi is self-dual, tr(Phi(rho) X) = tr(rho Phi(X)), so the Born
-    expectations of these four operators on rho are the first and second
-    moments of y on rho and on rho'.  Raises ValueError when the outcome
-    values are so large that the operators, or a Born expectation of
-    them, would overflow.
+    Columns 0-3 are flat(X^T) for X = B, A, Phi(B) and Phi(A), where
+    B = sum_y y E_y and A = sum_y y^2 E_y over second's effects and Phi is
+    first's Lueders matrix (Observable._channel), so that flat(rho) @
+    column is tr(rho X).  Phi is self-dual, tr(Phi(rho) X) = tr(rho Phi(X)),
+    so these are the first and second moments of y on rho and on rho'.
+    The last d^2 columns are I - Phi, which map flat(rho) to
+    flat(rho - rho').  Raises ValueError when the outcome values are so
+    large that the operators, or a Born expectation of them, would
+    overflow.
     """
+    values, channel = second._values, first._channel
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.array((values, values * values))  # (2, ..., Y)
-        moments = np.einsum("k...y,...yij->...kij", powers, effects)
-        operators = np.concatenate((moments, _luders(moments, first_channel)), axis=-3)
+        moments = np.einsum("ky,yij->kij", np.array((values, values * values)), second._matrices)
+        operators = np.concatenate((moments, _luders(moments, channel)))
         # |tr(rho X)| <= sum |X_ij| for a state rho, so a finite entry sum
         # keeps every expectation taken of these operators finite too.
         finite = np.isfinite(np.abs(operators).sum())
     if not finite:
         raise ValueError("outcome values too large: the moment operators overflow")
-    return _read_only(operators)
-
-
-def _clamped_variance(mean_sq: float, mean: float) -> float:
-    """<y^2> - <y>^2 from the two moments; as in qubit._variances,
-    round-off negatives above qubit._variance_floor are clamped and
-    anything below it, or NaN, is an error."""
-    var = mean_sq - mean * mean
-    if not var >= _variance_floor(mean_sq):
-        raise ValueError(f"variance evaluated to {var}")
-    return max(var, 0.0)
+    probe = np.concatenate((operators.T.reshape(-1, 4), np.eye(len(channel)) - channel), axis=1)
+    return _read_only(probe)
 
 
 def delta_v(state: QState, first: Observable, second: Observable) -> CriterionReport:
@@ -155,14 +147,8 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     memo = second._pairs
     entry = memo.get(first)
     if entry is None:
-        operators = _moment_operators(second._values, second._matrices, first._channel)
-        # Column k is flat(X_k^T), so that flat(rho) @ column is tr(rho X_k);
-        # flat(rho) @ (I - Phi) is flat(rho - rho').
-        probe = np.concatenate(
-            (operators.T.reshape(d * d, 4), np.eye(d * d) - first._channel), axis=1
-        )
         entry = memo[first] = (
-            _read_only(probe),
+            _pair_probe(first, second),
             measurement_coherence_witness(second, first) if first.is_sharp() else math.nan,
         )
     probe, witness = entry
@@ -173,11 +159,12 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
     mean_dephased, mean_sq_dephased = entries[2].real, entries[3].real
     v_direct = mean_sq - mean * mean
     v_dephased = mean_sq_dephased - mean_dephased * mean_dephased
-    # A variance that is >= 0.0 is what _clamped_variance returns for it;
-    # only a negative or NaN one needs its floor check and clamp.
+    # _checked_variances returns a variance that is >= 0.0 as it is (but
+    # -0.0 as 0.0); only a negative or NaN one needs its checks and clamp,
+    # run on the direct moments first, so that a failure names that run.
     if not (v_direct >= 0.0 and v_dephased >= 0.0):
-        v_direct = _clamped_variance(mean_sq, mean)
-        v_dephased = _clamped_variance(mean_sq_dephased, mean_dephased)
+        v_direct = float(_checked_variances(mean_sq, mean))
+        v_dephased = float(_checked_variances(mean_sq_dephased, mean_dephased))
     if d == 2:
         distance = _qubit_trace_norm(entries[4:])
     else:
@@ -253,8 +240,9 @@ def moment_difference(
     state: QState, first: Observable, second: Observable, k: int
 ) -> float:
     """k-th central moment of P'(y) minus that of P(y); k=2 is delta_v."""
-    if not (float(k).is_integer() and k >= 2):
-        raise ValueError(f"moment order k={k} must be a whole number of at least 2")
+    # The bound comes first, so that float(k) cannot overflow.
+    if not (2 <= k <= sys.float_info.max and float(k).is_integer()):
+        raise ValueError(f"moment order k={k} must be a whole number from 2 to {sys.float_info.max}")
     probabilities = _direct_and_dephased(state, first, second)
     with np.errstate(over="ignore", invalid="ignore"):
         deviations = second._values - (probabilities @ second._values)[:, None]

@@ -198,14 +198,14 @@ class Observable(_Value):
     @cached_property
     def _pairs(self) -> weakref.WeakKeyDictionary:
         """What criterion.delta_v derives from each first measurement
-        followed by self: (probe, witness).  The probe is one read-only
-        (d^2, 4 + d^2) matrix: criterion._moment_operators transposed and
-        flattened, then I minus the first measurement's _channel, so that
-        delta_v takes one product with it per state and the trace norm in
-        closed form at d = 2.  The witness is that of self in the first
-        measurement's basis, NaN unless that is sharp.  Filled on first
-        use; keyed weakly, so the memo never keeps a first measurement
-        alive."""
+        followed by self: (probe, witness).  The probe is the read-only
+        (d^2, 4 + d^2) matrix of criterion._pair_probe: the moment
+        operators B, A, Phi(B) and Phi(A) transposed and flattened, then I
+        minus the first measurement's _channel, so that delta_v takes one
+        product with it per state and the trace norm in closed form at
+        d = 2.  The witness is that of self in the first measurement's
+        basis, NaN unless that is sharp.  Filled on first use; keyed
+        weakly, so the memo never keeps a first measurement alive."""
         return weakref.WeakKeyDictionary()
 
     @cached_property
@@ -356,25 +356,28 @@ def _born(states: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,yji->...y", states, effects).real
 
 
-def _variance_floor(mean_sq):
-    """Most negative round-off accepted in <y^2> - <y>^2: 1e-12 in units of
-    <y^2> once that exceeds 1, since the cancellation error scales with it."""
-    return -CONSTRUCTION_TOL * np.maximum(mean_sq, 1.0)
-
-
 def _variances(probabilities: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Outcome variances <y^2> - <y>^2 over the last axis; round-off
-    negatives above _variance_floor are clamped, and a variance that
-    overflows is an error."""
+    """Outcome variances over the last axis: the moments <y> and <y^2>,
+    then _checked_variances."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = probabilities @ values
-        mean_sq = probabilities @ (values * values)
+        return _checked_variances(probabilities @ (values * values), probabilities @ values)
+
+
+def _checked_variances(mean_sq, mean):
+    """<y^2> - <y>^2 from the two moments, floats or arrays of any shape.
+
+    A variance that overflows is an error.  Round-off negatives down to
+    the floor -1e-12 * max(<y^2>, 1) are clamped to 0 (the cancellation
+    error scales with <y^2> once that exceeds 1); one below the floor is
+    an error that names the most negative.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         var = mean_sq - mean * mean
     if not np.isfinite(var).all():
         raise ValueError("outcome values too large: the variance overflows")
-    below = ~(var >= _variance_floor(mean_sq))
+    below = ~(var >= -CONSTRUCTION_TOL * np.maximum(mean_sq, 1.0))
     if below.any():
-        raise ValueError(f"variance evaluated to {var[below].min()}")
+        raise ValueError(f"variance evaluated to {np.where(below, var, np.inf).min()}")
     return np.maximum(var, 0.0)
 
 

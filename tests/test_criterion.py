@@ -33,6 +33,8 @@ from measurement_coherence import (
     trace_norm_distance,
     variance,
 )
+from measurement_coherence.channels import _luders
+from measurement_coherence.qubit import _checked_variances
 from conftest import (
     diagonal_povm,
     random_density,
@@ -64,6 +66,63 @@ def plus_eigenstate(second: Observable) -> QState:
 
 def computational_basis(dim: int) -> Observable:
     return Observable(tuple((float(k), Effect(np.diag(np.eye(dim)[k]))) for k in range(dim)))
+
+
+# Reference copies of the two-step probe build and the scalar variance rule
+# that criterion._pair_probe and qubit._checked_variances replace; the
+# tests below hold the library bit for bit to them.
+
+
+def _moment_operators(
+    values: np.ndarray, effects: np.ndarray, first_channel: np.ndarray
+) -> np.ndarray:
+    """B = sum_y y E_y, A = sum_y y^2 E_y, Phi(B) and Phi(A) over stacked
+    observables, shape (..., 4, d, d); ValueError when they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.array((values, values * values))  # (2, ..., Y)
+        moments = np.einsum("k...y,...yij->...kij", powers, effects)
+        operators = np.concatenate((moments, _luders(moments, first_channel)), axis=-3)
+        finite = np.isfinite(np.abs(operators).sum())
+    if not finite:
+        raise ValueError("outcome values too large: the moment operators overflow")
+    return operators
+
+
+def reference_probe(first: Observable, second: Observable) -> np.ndarray:
+    """_moment_operators, then its columns flat(X^T) next to I - Phi."""
+    d = second.dim
+    operators = _moment_operators(second._values, second._matrices, first._channel)
+    return np.concatenate(
+        (operators.T.reshape(d * d, 4), np.eye(d * d) - first._channel), axis=1
+    )
+
+
+def _clamped_variance(mean_sq: float, mean: float) -> float:
+    """<y^2> - <y>^2 from two float moments; round-off negatives down to
+    -1e-12 * max(<y^2>, 1) are clamped, anything below it or NaN raises."""
+    var = mean_sq - mean * mean
+    if not var >= -1e-12 * np.maximum(mean_sq, 1.0):
+        raise ValueError(f"variance evaluated to {var}")
+    return max(var, 0.0)
+
+
+def probe_moments(probe: np.ndarray, state: QState) -> list[tuple[float, float]]:
+    """(<A>, <B>) of the direct run and then of the dephased one, taken
+    from the probe as delta_v takes them."""
+    mean, mean_sq, mean_dephased, mean_sq_dephased = (
+        z.real for z in state.matrix.ravel().dot(probe).tolist()[:4]
+    )
+    return [(mean_sq, mean), (mean_sq_dephased, mean_dephased)]
+
+
+def random_valued_pair(seed: int, dim: int, sharp_first: bool, scale: float):
+    """A random first measurement, sharp or not, and a random POVM second
+    whose normal outcome values are multiplied by scale, with a state."""
+    rng = np.random.default_rng(seed)
+    first = random_sharp(rng, dim) if sharp_first else random_povm(rng, dim)
+    povm = random_povm(rng, dim)
+    second = Observable(tuple(zip(np.array(povm.values) * scale, povm.effects)))
+    return first, second, random_state(rng, dim)
 
 
 class TestTotalProbabilityResidual:
@@ -174,6 +233,20 @@ class TestVarianceFloor:
         with pytest.raises(ValueError, match="variance evaluated to"):
             delta_v(state, observable_x(), observable_x())
 
+    def test_a_double_failure_names_the_direct_run(self):
+        # Both runs fall below the floor, the dephased one further; the
+        # direct one is checked first, and it is the one named.
+        y = observable_y(1.0)
+        minus, plus = (effect.matrix for effect in y.effects)
+        state = QState((1 + 5e-11) * plus - 5e-11 * minus)
+        with pytest.raises(ValueError, match=r"^variance evaluated to -2\.000000165480742e-10$"):
+            delta_v(state, y, y)
+        probe, _witness = y._pairs[y]
+        assert [mean_sq - mean * mean for mean_sq, mean in probe_moments(probe, state)] == [
+            -2.000000165480742e-10,
+            -2.0000046063728405e-10,
+        ]
+
 
 class TestDimensionMismatch:
     """delta_v checks the state against first, then against second, and
@@ -218,26 +291,22 @@ class TestDimensionMismatch:
             delta_v(QState(np.eye(3) / 3), observable_x(), observable_x())
 
 
-CLAMPED_VARIANCE = criterion._clamped_variance
-
-
 def assert_clamped_variances(report, state, first, second) -> list[tuple[float, float]]:
-    """The report's variances are bit for bit _clamped_variance of the
-    moments delta_v takes from the pair's probe.  Returns those moments,
-    (<A>, <B>) of the direct run and then of the dephased one."""
+    """The report's variances are bit for bit the reference _clamped_variance
+    of the moments delta_v takes from the pair's probe.  Returns those
+    moments, (<A>, <B>) of the direct run and then of the dephased one."""
     probe, _witness = second._pairs[first]
-    mean, mean_sq, mean_dephased, mean_sq_dephased = (
-        z.real for z in state.matrix.ravel().dot(probe).tolist()[:4]
-    )
-    assert report.v_unperturbed.hex() == CLAMPED_VARIANCE(mean_sq, mean).hex()
-    assert report.v_perturbed.hex() == CLAMPED_VARIANCE(mean_sq_dephased, mean_dephased).hex()
-    return [(mean_sq, mean), (mean_sq_dephased, mean_dephased)]
+    moments = probe_moments(probe, state)
+    assert [report.v_unperturbed.hex(), report.v_perturbed.hex()] == [
+        _clamped_variance(*pair).hex() for pair in moments
+    ]
+    return moments
 
 
 class TestInlineVariances:
-    """delta_v takes <A> - <B>^2 inline and calls _clamped_variance only
-    when a variance is negative or NaN; either way it reports what
-    _clamped_variance returns for the same moments."""
+    """delta_v takes <A> - <B>^2 inline and calls qubit._checked_variances
+    only when a variance is negative or NaN; either way it reports what the
+    reference _clamped_variance returns for the same moments."""
 
     @settings(max_examples=200, deadline=None)
     @given(dim=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), sharp_first=st.booleans())
@@ -260,12 +329,13 @@ class TestInlineVariances:
 
     def test_the_eigenstate_corpus_runs_the_clamp(self, monkeypatch):
         calls = []
+        checked_variances = criterion._checked_variances
 
         def spy(mean_sq, mean):
             calls.append((mean_sq, mean))
-            return CLAMPED_VARIANCE(mean_sq, mean)
+            return checked_variances(mean_sq, mean)
 
-        monkeypatch.setattr(criterion, "_clamped_variance", spy)
+        monkeypatch.setattr(criterion, "_checked_variances", spy)
         first = observable_x()
         negatives = 0
         for scale in (1e4, 1e100):
@@ -281,6 +351,75 @@ class TestInlineVariances:
                 else:
                     assert calls == []
         assert negatives > 0  # the corpus does reach the fallback
+
+
+def probe_or_message(build, first: Observable, second: Observable):
+    """dtype, shape and bytes of a probe build, or its ValueError text."""
+    try:
+        probe = build(first, second)
+    except ValueError as error:
+        return str(error)
+    return probe.dtype, probe.shape, probe.tobytes()
+
+
+def variance_or_message(rule, mean_sq, mean):
+    """The bits of a variance rule's float result, or its ValueError text."""
+    try:
+        return float(rule(mean_sq, mean)).hex()
+    except ValueError as error:
+        return str(error)
+
+
+class TestOneProbeAndOneVarianceRule:
+    """criterion._pair_probe is bit for bit the two-step build
+    (reference_probe), and qubit._checked_variances the scalar rule
+    (_clamped_variance), on one float pair at a time as delta_v calls it
+    and on a stack of them; where the references raise, they raise the
+    same text."""
+
+    @staticmethod
+    def assert_matches_the_references(first, second, state):
+        expected = probe_or_message(reference_probe, first, second)
+        assert probe_or_message(criterion._pair_probe, first, second) == expected
+        if isinstance(expected, str):
+            return
+        probe = criterion._pair_probe(first, second)
+        assert probe.flags.writeable is False
+        moments = probe_moments(probe, state)
+        references = [variance_or_message(_clamped_variance, *pair) for pair in moments]
+        assert [variance_or_message(_checked_variances, *pair) for pair in moments] == references
+        if not any(isinstance(ref, str) for ref in references):
+            stacked = _checked_variances(*map(np.array, zip(*moments)))
+            assert [float(v).hex() for v in stacked] == references
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        dim=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        sharp_first=st.booleans(),
+        scale=st.sampled_from([1.0, 1e-3, 1e4, 1e100, 1e154]),
+    )
+    def test_random_pairs_with_random_values(self, dim, seed, sharp_first, scale):
+        self.assert_matches_the_references(*random_valued_pair(seed, dim, sharp_first, scale))
+
+    @settings(max_examples=300, deadline=None)
+    @given(theta=st.floats(0.01, 3.1), scale=st.sampled_from([1e4, 1e100, 1e154]))
+    @example(theta=0.01, scale=1e100)
+    @example(theta=3.1, scale=1e154)
+    def test_scaled_eigenstates(self, theta, scale):
+        second = scaled_second(theta, (0.0, scale))
+        for first in (observable_x(), second):
+            self.assert_matches_the_references(first, second, plus_eigenstate(second))
+
+    def test_the_floor_and_the_double_failure(self):
+        y = observable_y(1.0)
+        minus, plus = (effect.matrix for effect in y.effects)
+        self.assert_matches_the_references(y, y, QState((1 + 5e-11) * plus - 5e-11 * minus))
+        # On diag(1 + e, -e) the variance of x is about -4e: below the
+        # floor for the first two, clamped for the last two.
+        x = observable_x()
+        for e in (5e-11, 1e-12, 2e-13, 1e-13):
+            self.assert_matches_the_references(x, x, QState(np.diag([1 + e, -e])))
 
 
 @pytest.mark.filterwarnings("error")
@@ -299,11 +438,9 @@ class TestOverflow:
         with pytest.raises(ValueError, match="overflow"):
             moment_difference(self.state, observable_x(), self.second, 2)
 
-    def test_moment_operators(self):
+    def test_pair_probe(self):
         with pytest.raises(ValueError, match="overflow"):
-            criterion._moment_operators(
-                self.second._values, self.second._matrices, observable_x()._channel
-            )
+            criterion._pair_probe(observable_x(), self.second)
 
     def test_outcome_distribution_variance(self):
         with pytest.raises(ValueError, match="overflow"):
@@ -323,25 +460,25 @@ class TestOverflow:
 
 
 class TestMomentMemo:
-    """delta_v builds the moment operators B, A, Phi(B) and Phi(A) and the
-    witness once per (first, second) pair and keeps them in one entry on
-    second, without keeping either observable alive."""
+    """delta_v builds the probe (criterion._pair_probe) and the witness once
+    per (first, second) pair and keeps them in one entry on second, without
+    keeping either observable alive."""
 
     @staticmethod
     def count_builds(monkeypatch) -> tuple[list, list]:
         builds, witnesses = [], []
-        moment_operators = criterion._moment_operators
+        pair_probe = criterion._pair_probe
         witness = criterion.measurement_coherence_witness
 
-        def spy_operators(values, effects, first_channel):
-            builds.append(first_channel)
-            return moment_operators(values, effects, first_channel)
+        def spy_probe(first, second):
+            builds.append((first, second))
+            return pair_probe(first, second)
 
         def spy_witness(obs, basis):
             witnesses.append((obs, basis))
             return witness(obs, basis)
 
-        monkeypatch.setattr(criterion, "_moment_operators", spy_operators)
+        monkeypatch.setattr(criterion, "_pair_probe", spy_probe)
         monkeypatch.setattr(criterion, "measurement_coherence_witness", spy_witness)
         return builds, witnesses
 
@@ -349,8 +486,7 @@ class TestMomentMemo:
         builds, witnesses = self.count_builds(monkeypatch)
         first, second = observable_x(), observable_y(np.pi / 3)
         reported = {delta_v(random_density(rng), first, second).witness for _ in range(20)}
-        assert len(builds) == 1
-        assert builds[0] is first._channel
+        assert builds == [(first, second)]
         assert witnesses == [(second, first)]
         assert len(reported) == 1
         assert reported.pop() == pytest.approx(np.sin(np.pi / 3) / 2.0, abs=1e-12)
@@ -368,7 +504,7 @@ class TestMomentMemo:
             assert in_reference.witness == pytest.approx(0.25, abs=1e-12)
             in_conjugate = delta_v(state, conjugate, second)
             assert in_conjugate.witness == pytest.approx(np.cos(np.pi / 6) / 2.0, abs=1e-12)
-        assert [id(c) for c in builds] == [id(reference._channel), id(conjugate._channel)]
+        assert builds == [(reference, second), (conjugate, second)]
         assert witnesses == [(second, reference), (second, conjugate)]
         assert len(second._pairs) == 2
         assert not np.array_equal(second._pairs[reference][0], second._pairs[conjugate][0])
@@ -599,7 +735,7 @@ class TestMomentDifference:
         with pytest.raises(ValueError, match="k="):
             moment_difference(make_state(0.5, 1.0), observable_x(), observable_y(1.0), k=1)
 
-    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("k", [2.5, math.nan, math.inf, pytest.param(10**400, id="10**400")])
     def test_fractional_or_non_finite_order_rejected(self, k):
         with pytest.raises(ValueError, match="k="):
             moment_difference(make_state(0.3, 0.8), observable_x(), observable_y(1.0), k)
