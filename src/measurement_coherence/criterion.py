@@ -31,12 +31,14 @@ state delta_v makes one dimension test (the two _check_same_dim calls
 run only when it fails, to name the mismatch) and takes one product of
 the flattened state with the probe: four moments for the variances and
 the difference rho - rho', whose trace norm is taken in closed form at
-d = 2 (qubit._qubit_trace_norm) and by eigvalsh above.  The variances
-are taken inline; qubit._checked_variances, the library's one variance
-rule with its round-off floor and clamp, runs only when one of them is
-negative or NaN, on the direct run and then on the dephased one.  A
-pair used for a single state pays the build on the call, of which the
-witness (channels.measurement_coherence_witness) is one part.
+d = 2 (inline, from three entries of the product) and by eigvalsh
+above.  The variances are taken inline; qubit._checked_variances, the
+library's one variance rule with its round-off floor and clamp, runs
+only when one of them is negative or NaN, on the direct run and then on
+the dephased one.  CriterionReport's own __init__ checks the difference
+and fills its five fields in one step.  A pair used for a single state
+pays the build on the call, of which the witness
+(channels.measurement_coherence_witness) is one part.
 """
 
 from __future__ import annotations
@@ -62,14 +64,13 @@ from .qubit import (
     _check_finite,
     _check_same_dim,
     _checked_variances,
-    _qubit_trace_norm,
     _read_only,
     _trace_norm,
     _variances,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CriterionReport:
     """Variance comparison between direct and measure-then-discard runs."""
 
@@ -80,9 +81,14 @@ class CriterionReport:
     witness: float  # off-diagonality of the second measurement; NaN if
     # the first measurement is not sharp
 
-    def __post_init__(self):
-        if not abs(self.delta_v - (self.v_perturbed - self.v_unperturbed)) <= 1e-12:
+    def __init__(self, v_unperturbed: float, v_perturbed: float, delta_v: float,
+                 trace_norm_sq: float, witness: float):
+        # The frozen dataclass __init__ would set each field through
+        # object.__setattr__; one update of __dict__ fills all five.
+        if not abs(delta_v - (v_perturbed - v_unperturbed)) <= 1e-12:
             raise ValueError("delta_v is not the difference of the variances")
+        self.__dict__.update(v_unperturbed=v_unperturbed, v_perturbed=v_perturbed,
+                             delta_v=delta_v, trace_norm_sq=trace_norm_sq, witness=witness)
 
 
 def _direct_and_dephased(
@@ -166,7 +172,13 @@ def delta_v(state: QState, first: Observable, second: Observable) -> CriterionRe
         v_direct = float(_checked_variances(mean_sq, mean))
         v_dephased = float(_checked_variances(mean_sq_dephased, mean_dephased))
     if d == 2:
-        distance = _qubit_trace_norm(entries[4:])
+        # rho - rho' = [[a, .], [c, e]] is Hermitian, so its eigenvalues
+        # are (a + e)/2 +- hypot(a - e, 2|c|)/2 and the sum of their
+        # magnitudes is the larger of |a + e| and hypot(a - e, 2|c|).  This
+        # reads the lower entry c, as eigvalsh does; hypot squares nothing,
+        # so entries from 1e-150 to 1e150 keep full relative precision.
+        a, e = entries[4].real, entries[7].real
+        distance = max(abs(a + e), math.hypot(a - e, 2.0 * abs(entries[6])))
     else:
         distance = float(_trace_norm(product[4:].reshape(d, d)))
     return CriterionReport(

@@ -27,14 +27,16 @@ through the checked constructors.  Intermediates that never leave a
 function, such as the difference rho - rho' inside delta_v and the P/P'
 comparisons of the criterion module, are trusted arrays; what those
 functions report is checked.
+
+Observable and Effect compute what depends only on their matrices once
+per instance, on first read, through the lock-free descriptor _cached.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,20 +49,41 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-@cache
-def _field_names(cls) -> tuple[str, ...]:
-    """Names of a dataclass's fields in order, read once per class."""
-    return tuple(f.name for f in fields(cls))
+class _cached:
+    """functools.cached_property without its lock: the first read computes
+    the value and stores it in the instance's __dict__ under the
+    attribute's name, where every later read finds it first, as
+    cached_property itself does from Python 3.12 on (on 3.10 and 3.11 it
+    takes an RLock on every first read).  It writes __dict__ directly, so
+    it works on frozen dataclasses too.  Threads that race on a first read
+    may each compute the value and the last store wins; the values are
+    pure functions of the instance, and a lost Observable._pairs memo
+    only costs a rebuild."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 class _Value:
     """Base of the library's frozen value types.  Pickle and copy rebuild an
     instance from its dataclass fields through the constructor, so a copy
     passes the same checks and holds read-only arrays again (numpy
-    unpickles arrays writeable) and no cached quantity."""
+    unpickles arrays writeable) and no cached quantity.  The value types
+    declare no ClassVar or InitVar, so __dataclass_fields__ holds exactly
+    their fields, in order."""
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in _field_names(type(self)))
+        return type(self), tuple(getattr(self, name) for name in self.__dataclass_fields__)
 
     @classmethod
     def _trusted(cls, field_value):
@@ -68,11 +91,11 @@ class _Value:
         by construction, without running __post_init__.  Only for values
         the library has just built from checked parameters; an array must
         be fresh, and is made read-only as the checked path leaves it."""
-        (name,) = _field_names(cls)
+        (name,) = cls.__dataclass_fields__
         if isinstance(field_value, np.ndarray):
-            _read_only(field_value)
+            field_value.setflags(write=False)
         value = object.__new__(cls)
-        object.__setattr__(value, name, field_value)
+        value.__dict__[name] = field_value
         return value
 
 
@@ -124,7 +147,7 @@ class Effect(_Hermitian):
         if eigs[0] < -ROUNDOFF_TOL or eigs[-1] > 1.0 + ROUNDOFF_TOL:
             raise ValueError(f"effect spectrum [{eigs[0]}, {eigs[-1]}] leaves [0, 1]")
 
-    @cached_property
+    @_cached
     def sqrt(self) -> np.ndarray:
         """Hermitian PSD square root, computed once per effect."""
         eigenvalues, vectors = np.linalg.eigh(self.matrix)
@@ -155,7 +178,7 @@ class Observable(_Value):
         if np.max(np.abs(total - np.eye(self.dim))) > CONSTRUCTION_TOL:
             raise ValueError("effects do not sum to the identity")
 
-    @cached_property
+    @_cached
     def dim(self) -> int:
         return self.outcomes[0][1].dim
 
@@ -170,22 +193,22 @@ class Observable(_Value):
     # Computed once per observable; the effect matrices are read-only, so
     # nothing derived from them can go stale.
 
-    @cached_property
+    @_cached
     def _values(self) -> np.ndarray:
         """Outcome values as an array, shape (Y,)."""
         return _read_only(np.array(self.values))
 
-    @cached_property
+    @_cached
     def _matrices(self) -> np.ndarray:
         """Effect matrices in outcome order, stacked to shape (Y, d, d)."""
         return _read_only(np.array([eff.matrix for _, eff in self.outcomes]))
 
-    @cached_property
+    @_cached
     def _roots(self) -> np.ndarray:
         """Effect square roots in outcome order, stacked to shape (Y, d, d)."""
         return _read_only(np.stack([eff.sqrt for eff in self.effects]))
 
-    @cached_property
+    @_cached
     def _channel(self) -> np.ndarray:
         """d^2 x d^2 matrix of the Lueders channel rho -> sum_x S_x rho S_x,
         C[(j, k), (i, l)] = sum_x S_x[i, j] S_x[k, l] with S_x = sqrt(E_x):
@@ -195,7 +218,7 @@ class Observable(_Value):
         channel = np.einsum("xij,xkl->jkil", roots, roots).reshape(d * d, d * d)
         return _read_only(channel)
 
-    @cached_property
+    @_cached
     def _pairs(self) -> weakref.WeakKeyDictionary:
         """What criterion.delta_v derives from each first measurement
         followed by self: (probe, witness).  The probe is the read-only
@@ -208,7 +231,7 @@ class Observable(_Value):
         weakly, so the memo never keeps a first measurement alive."""
         return weakref.WeakKeyDictionary()
 
-    @cached_property
+    @_cached
     def sharp_basis(self) -> np.ndarray | None:
         """Unitary with the effect eigenvectors as columns, outcome order.
 
@@ -397,18 +420,6 @@ def variance(state: QState, obs: Observable) -> float:
 def _trace_norm(differences: np.ndarray) -> np.ndarray:
     """Trace norms sum |eigenvalues| of stacked Hermitian matrices (..., d, d)."""
     return np.abs(np.linalg.eigvalsh(differences)).sum(axis=-1)
-
-
-def _qubit_trace_norm(entries: list) -> float:
-    """Trace norm of one Hermitian 2x2 matrix [[a, .], [c, e]] given as its
-    four entries in row order, in closed form: the eigenvalues are
-    (a + e)/2 +- hypot(a - e, 2|c|)/2, so the sum of their magnitudes is
-    the larger of |a + e| and hypot(a - e, 2|c|).  Reads the lower entry c,
-    as eigvalsh does; hypot squares nothing, so entries from 1e-150 to
-    1e150 keep full relative precision."""
-    a = entries[0].real
-    e = entries[3].real
-    return max(abs(a + e), math.hypot(a - e, 2.0 * abs(entries[2])))
 
 
 def trace_norm_distance(a: QState, b: QState) -> float:

@@ -1,7 +1,11 @@
 """Classical laws, the variance-law violation, and its generalizations."""
 
+import copy
+import dataclasses
 import gc
+import inspect
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -223,6 +227,90 @@ class TestDeltaV:
     def test_report_rejects_nan_variances(self):
         with pytest.raises(ValueError, match="difference"):
             CriterionReport(math.nan, math.nan, math.nan, trace_norm_sq=0.0, witness=0.0)
+
+
+REPORT_FIELDS = ("v_unperturbed", "v_perturbed", "delta_v", "trace_norm_sq", "witness")
+REPORT_VALUES = (0.25, 0.75, 0.5, 0.125, 0.375)
+DIFFERENCE = "^delta_v is not the difference of the variances$"
+
+
+class TestReportConstructor:
+    """CriterionReport's one constructor is written out (it fills the five
+    fields in one step); everything a dataclass's own __init__ gives holds."""
+
+    def test_signature(self):
+        parameters = inspect.signature(CriterionReport).parameters
+        assert tuple(parameters) == REPORT_FIELDS
+        for parameter in parameters.values():
+            assert parameter.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+            assert parameter.default is inspect.Parameter.empty
+
+    def test_positional_and_keyword_construction(self):
+        by_position = CriterionReport(*REPORT_VALUES)
+        by_keyword = CriterionReport(**dict(reversed(list(zip(REPORT_FIELDS, REPORT_VALUES)))))
+        mixed = CriterionReport(*REPORT_VALUES[:2], witness=0.375, trace_norm_sq=0.125,
+                                delta_v=0.5)
+        for report in (by_position, by_keyword, mixed):
+            assert vars(report) == dict(zip(REPORT_FIELDS, REPORT_VALUES))
+            assert repr(report) == (
+                "CriterionReport(v_unperturbed=0.25, v_perturbed=0.75, delta_v=0.5, "
+                "trace_norm_sq=0.125, witness=0.375)"
+            )
+        for args, kwargs in ((REPORT_VALUES[:4], {}), (REPORT_VALUES, {"extra": 0.0}),
+                             (REPORT_VALUES, {"witness": 0.0})):
+            with pytest.raises(TypeError):
+                CriterionReport(*args, **kwargs)
+
+    def test_replace_asdict_and_fields(self):
+        report = CriterionReport(*REPORT_VALUES)
+        assert tuple(f.name for f in dataclasses.fields(report)) == REPORT_FIELDS
+        assert dataclasses.asdict(report) == dict(zip(REPORT_FIELDS, REPORT_VALUES))
+        assert dataclasses.replace(report) == report
+        changed = dataclasses.replace(report, v_perturbed=1.0, delta_v=0.75, witness=0.0)
+        assert vars(changed) == dict(zip(REPORT_FIELDS, (0.25, 1.0, 0.75, 0.125, 0.0)))
+        with pytest.raises(ValueError, match=DIFFERENCE):
+            dataclasses.replace(report, delta_v=0.0)
+
+    def test_equality_and_hash(self):
+        report, same = CriterionReport(*REPORT_VALUES), CriterionReport(*REPORT_VALUES)
+        assert report is not same
+        assert report == same
+        assert hash(report) == hash(same) == hash(REPORT_VALUES)
+        assert report != dataclasses.replace(report, witness=0.0)
+        assert report != REPORT_VALUES
+
+    def test_pickle_and_copies(self):
+        reports = (CriterionReport(*REPORT_VALUES),
+                   delta_v(make_state(0.3, 0.8), observable_x(), observable_y(1.0)))
+        for report in reports:
+            for copied in (pickle.loads(pickle.dumps(report)), copy.copy(report),
+                           copy.deepcopy(report)):
+                assert type(copied) is CriterionReport
+                assert copied == report
+                assert repr(copied) == repr(report)
+
+    def test_frozen(self):
+        report = CriterionReport(*REPORT_VALUES)
+        for name in REPORT_FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(report, name, 0.0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(report, name)
+        assert vars(report) == dict(zip(REPORT_FIELDS, REPORT_VALUES))
+
+    @pytest.mark.parametrize("values", [
+        (0.2, 0.5, 0.1, 0.0, 0.0),
+        (0.2, 0.5, 0.3 + 2e-12, 0.0, 0.0),
+        (math.nan, 0.5, 0.3, 0.0, 0.0),
+        (0.2, math.nan, 0.3, 0.0, 0.0),
+        (0.2, 0.5, math.nan, 0.0, 0.0),
+        (math.inf, math.inf, 0.0, 0.0, 0.0),
+    ])
+    def test_difference_message(self, values):
+        with pytest.raises(ValueError, match=DIFFERENCE):
+            CriterionReport(*values)
+        with pytest.raises(ValueError, match=DIFFERENCE):
+            CriterionReport(**dict(zip(REPORT_FIELDS, values)))
 
 
 class TestVarianceFloor:

@@ -1,14 +1,17 @@
 """States, observables, and small-matrix operations."""
 
+import ast
 import copy
 import decimal
 import math
+import pathlib
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import measurement_coherence
 from measurement_coherence import (
     Effect,
     Observable,
@@ -23,8 +26,14 @@ from measurement_coherence import (
     trace_norm_distance,
     variance,
 )
-from measurement_coherence.qubit import _born, _family_states, _qubit_trace_norm, _trace_norm
-from conftest import assert_passes_public_checks, random_density, random_povm
+from measurement_coherence.qubit import _born, _family_states, _trace_norm
+from conftest import (
+    assert_passes_public_checks,
+    random_density,
+    random_povm,
+    random_sharp,
+    random_state,
+)
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -388,8 +397,28 @@ def exact_trace_norm(matrix: np.ndarray) -> float:
         return float(max(abs(a + e), ((a - e) ** 2 + 4 * c_sq).sqrt()))
 
 
+def _qubit_trace_norm(entries: list) -> float:
+    """Reference copy of the closed-form 2x2 trace norm that delta_v takes
+    inline at d = 2.  The matrix is Hermitian [[a, .], [c, e]], given as
+    its four entries in row order; its eigenvalues are
+    (a + e)/2 +- hypot(a - e, 2|c|)/2, so the sum of their magnitudes is
+    the larger of |a + e| and hypot(a - e, 2|c|).  Reads the lower entry c,
+    as eigvalsh does; hypot squares nothing, so entries from 1e-150 to
+    1e150 keep full relative precision."""
+    a = entries[0].real
+    e = entries[3].real
+    return max(abs(a + e), math.hypot(a - e, 2.0 * abs(entries[2])))
+
+
+# One outcome, value 0: both variances are 0 on any Hermitian matrix, so
+# delta_v reports the trace norm of a "state" of any scale.
+CONSTANT = Observable(((0.0, Effect(np.eye(2))),))
+
+
 class TestQubitTraceNorm:
-    """The closed-form 2x2 trace norm behind delta_v at d = 2."""
+    """The closed-form 2x2 trace norm behind delta_v at d = 2, held to
+    eigvalsh and exact arithmetic through its reference copy, and
+    delta_v's inline form held to that copy bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(matrix=hermitian_2x2())
@@ -411,6 +440,25 @@ class TestQubitTraceNorm:
         matrix = np.array([[0.5, 0.3 + 1e-3j], [0.1 - 0.2j, -0.25]])
         got = _qubit_trace_norm(matrix.reshape(-1).tolist())
         assert got == pytest.approx(float(_trace_norm(matrix)), rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), matrix=st.none() | hermitian_2x2())
+    @example(seed=0, matrix=np.array([[1e150, 1e150], [1e150, 1e150]], dtype=complex))
+    @example(seed=0, matrix=np.array([[1e-150, 1e-150j], [-1e-150j, -1e-150]], dtype=complex))
+    def test_delta_v_takes_the_reference_bit_for_bit(self, seed, matrix):
+        # A random state under random measurements; or a Hermitian matrix
+        # of scale 1e-150 to 1e150, built unchecked, under a random first
+        # measurement and CONSTANT.
+        rng = np.random.default_rng(seed)
+        first = random_sharp(rng, 2) if rng.random() < 0.5 else random_povm(rng, 2)
+        if matrix is None:
+            state, second = random_state(rng, 2), random_povm(rng, 2)
+        else:
+            state, second = QState._trusted(matrix.astype(np.complex128)), CONSTANT
+        report = delta_v(state, first, second)
+        probe, _ = second._pairs[first]
+        reference = _qubit_trace_norm(state.matrix.ravel().dot(probe).tolist()[4:])
+        assert report.trace_norm_sq.hex() == (reference * reference).hex()
 
 
 class TestCommutatorNorm:
@@ -608,3 +656,66 @@ class TestReadOnlyMatrices:
             assert copied[2]._matrices.flags.writeable is False
             np.testing.assert_array_equal(copied[2]._channel, second._channel)
             assert delta_v(*copied) == report
+
+
+CACHED = [(Observable, name) for name in
+          ("dim", "_values", "_matrices", "_roots", "_channel", "_pairs", "sharp_basis")]
+CACHED.append((Effect, "sqrt"))
+
+
+def cached_owner(owner):
+    """A fresh instance to read the cached attributes of owner on."""
+    obs = Observable(((-1.0, Effect(np.diag([1.0, 0.0]))), (1.0, Effect(np.diag([0.0, 1.0])))))
+    return obs if owner is Observable else obs.effects[1]
+
+
+class TestCachedAttributes:
+    """The lock-free descriptor behind every attribute an Observable or an
+    Effect computes once: one computation per instance, stored in the
+    instance's __dict__ under the attribute's name, and never copied."""
+
+    @pytest.mark.parametrize("owner, name", CACHED)
+    def test_computed_once_per_instance(self, monkeypatch, owner, name):
+        descriptor = vars(owner)[name]
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return wrapped(instance)
+
+        wrapped = descriptor.func
+        monkeypatch.setattr(descriptor, "func", counted)
+        first, second = cached_owner(owner), cached_owner(owner)
+        for instance in (first, first, second, first, second):
+            value = getattr(instance, name)
+            assert vars(instance)[name] is value
+        assert calls == [first, second]
+
+    @pytest.mark.parametrize("owner, name", CACHED)
+    def test_class_access_returns_the_descriptor(self, owner, name):
+        descriptor = getattr(owner, name)
+        assert descriptor is vars(owner)[name]
+        assert descriptor.__doc__ == descriptor.func.__doc__
+        assert descriptor.func.__name__ == name
+
+    @pytest.mark.parametrize("owner, name", CACHED)
+    def test_copies_start_with_no_cached_entries(self, owner, name):
+        # What the constructor leaves: the field, and dim, which the
+        # Observable check reads.
+        built = {"outcomes", "dim"} if owner is Observable else {"matrix"}
+        instance = cached_owner(owner)
+        assert vars(instance).keys() == built
+        getattr(instance, name)
+        assert name in vars(instance)
+        for copied in (pickle.loads(pickle.dumps(instance)), copy.copy(instance),
+                       copy.deepcopy(instance)):
+            assert vars(copied).keys() == built
+
+    def test_src_does_not_import_functools_cached_property(self):
+        package = pathlib.Path(measurement_coherence.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                    assert "cached_property" not in {alias.name for alias in node.names}, path
+                if isinstance(node, ast.Attribute):
+                    assert node.attr != "cached_property", path
