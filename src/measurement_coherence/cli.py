@@ -25,7 +25,7 @@ help, no command or an unknown one; the namespace is the same, and an
 unrecognized flag is reported under the command's usage line.
 
 Angles are accepted in degrees and converted internally.  Each sweep
-computes its grid in engine blocks of up to 16384 points, each a
+computes its grid in engine blocks of up to 16384 points (_ENGINE_POINTS), each a
 rectangle of the grid (whole theta rows, or a piece of one longer row),
 and writes each block as it finishes.  What depends on the state alone
 is computed per block, for that block's axis values only, and broadcast
@@ -44,12 +44,29 @@ column.  That of sweep-pure, sweep-mixed and max-violation
 is the family's closed form for delta_v (criterion._family_delta_v), so
 no sweep builds the dephased state rho' or runs a second Born pass; that
 of simulate is the gate model's own prediction, (m_H - m_+)(m_H + m_+)
-from the means of its two gated runs, so no variance is taken.  The writer
-writes each chunk of rows as one join of the row template's pieces and the
-cells' repr texts, and formats a column broadcast over a block once per
-block.  Sampling uses one generator per sweep, seeded by --seed and drawn
-in grid order, so output is byte-identical for identical arguments and
-does not depend on the block size.
+from the means of its two gated runs, so no variance is taken.
+
+Each engine block has a head and a tail.  The head is all that the sweep
+computes without --seed or --flux: the block's checked probabilities and
+the repr texts of its axis1, theta, analytic_dv and trdist_sq columns.
+The tail draws the Poisson counts and runs the estimator, and its three
+float columns (sampled_dv, std_err, z) are the only ones the writer still
+formats.  A sweep whose grid fits in one engine block keeps its head in a
+one-entry memo, keyed bit for bit on all that the head reads (the
+command's column, the axis and theta grids, axis1, gamma, alpha and the
+gate), so the next sweep in the same process that differs only in
+--seed, --flux, --out or --format reuses it.  The memo lives for the
+process and holds at most one head, about 0.3 MB for the default 50x50
+grid and under 2.5 MB for a full block; its arrays are read-only and a
+head that raises is not kept.  A sweep of more than one block builds each
+block's head in turn, with the same code, and keeps none.
+
+The writer writes each chunk of rows as one join of the row template's
+pieces and the cells' texts, and formats a column broadcast over a block
+once per block.  Sampling uses one generator per sweep, seeded by --seed
+and drawn in grid order, so output is byte-identical for identical
+arguments, whether or not an earlier sweep in the same process filled
+the memo, and does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -79,7 +96,7 @@ from .photonics import (
     _gated_signals,
     _poisson_counts,
 )
-from .qubit import _born, _family_states, _tilted_effects
+from .qubit import _born, _family_states, _read_only, _tilted_effects
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -158,27 +175,28 @@ def _gated_means_column(_p, _off, _angles, probabilities) -> np.ndarray:
     return (mean[..., 0] - mean[..., 1]) * (mean[..., 0] + mean[..., 1]) + 0.0
 
 
-def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple[np.ndarray, ...]]:
-    """Every grid point of a sweep, in blocks of at most _ENGINE_POINTS
-    points.
+def _texts(column: np.ndarray) -> np.ndarray:
+    """The repr texts of a float column, as a read-only object array of
+    its shape."""
+    texts = np.array(list(map(repr, column.ravel().tolist())), dtype=object)
+    return _read_only(texts.reshape(column.shape))
 
-    Points run over the axis1 values, then theta_deg (degrees).  A block is
-    a rectangle of the grid: whole theta rows, or one piece of a theta row
-    longer than _ENGINE_POINTS.  A block of a axis values by w angles is
-    yielded as the columns of CSV_FIELDS in the shapes they broadcast
-    from: axis1 and trdist_sq (a, 1), theta (w,) and the rest (a, w).
-    The head of a block derives what depends on the state alone for the
-    block's own axis values, from the qubit family's own parameters, and
-    broadcasts it over theta; the block builds the analyzer effects of
-    its own angles.  column(p, off, angles, probabilities) gives the
-    analytic column, (a, w), from the block's family parameters and
-    gated probabilities (axis value, angle, meter mode, outcome).  The
-    tail (gated Born pass, Poisson draw, estimator) is dimension-generic
-    and shared by every command.
-    One generator seeded by spec.seed draws the counts block after block
-    in grid order, which gives the counts of one draw over the whole grid.
+
+def _grid_heads(spec: SweepSpec, axis_values: np.ndarray, theta_deg: np.ndarray,
+                column) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
+    """The head of each engine block of a sweep: all that it computes
+    without spec.seed or spec.flux.
+
+    A block is a rectangle of the grid: whole theta rows, or one piece of
+    a theta row longer than _ENGINE_POINTS.  The head of a block of a axis
+    values by w angles is the texts of axis1 and trdist_sq (a, 1), of
+    theta (w,) and of the analytic column (a, w), with the block's checked
+    probabilities (axis value, angle, meter mode, outcome).  It derives
+    what depends on the state alone for the block's own axis values, from
+    the qubit family's own parameters, and broadcasts it over theta; it
+    builds the analyzer effects of its own angles.
+    column(p, off, angles, probabilities) gives the analytic column.
     """
-    axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
     steps = len(theta_deg)
     rows, width = max(_ENGINE_POINTS // steps, 1), min(steps, _ENGINE_POINTS)
     if rows < len(axis_values):
@@ -191,10 +209,14 @@ def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple
             _family(spec, axis_values[a:a + _ENGINE_POINTS])[0][:, None]
             for a in range(0, len(axis_values), _ENGINE_POINTS))))
     radians = np.radians(theta_deg)
-    rng = np.random.default_rng(spec.seed)
     for a in range(0, len(axis_values), rows):
         p, off = _family(spec, axis_values[a:a + rows])
         signals = _gated_signals(_family_states(p, off)[:, None], spec.gate, _METER_V)
+        # Measuring x and forgetting the outcome keeps the populations and
+        # drops the coherence, so the eigenvalues of rho - rho' are +-|off|
+        # and trdist_sq = ||rho - rho'||_1^2 = 4 off^2.
+        axis1 = _texts(axis_values[a:a + rows, None])
+        trdist_sq = _texts((4.0 * off * off)[:, None])
         for t in range(0, steps, width):
             angles = radians[t:t + width]
             # (axis, meter mode) signals against the (theta, outcome)
@@ -203,15 +225,44 @@ def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple
             probabilities = _checked_probabilities(
                 _born(signals, _tilted_effects(angles).reshape(-1, 2, 2))
                 .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
-            counts = _poisson_counts(rng, spec.flux, probabilities)
-            sampled, std_err = _estimate_delta_v(counts)
-            z = np.divide(sampled, std_err, out=np.zeros(sampled.shape), where=std_err > 0.0)
-            # Measuring x and forgetting the outcome keeps the populations
-            # and drops the coherence, so the eigenvalues of rho - rho' are
-            # +-|off| and trdist_sq = ||rho - rho'||_1^2 = 4 off^2.
-            yield (axis_values[a:a + rows, None], theta_deg[t:t + width],
-                   column(p, off, angles, probabilities), sampled, std_err, z,
-                   (4.0 * off * off)[:, None])
+            yield ((axis1, _texts(theta_deg[t:t + width]),
+                    _texts(column(p, off, angles, probabilities)), trdist_sq), probabilities)
+
+
+# The heads of the last one-block sweep, keyed by all that they read.
+_HEADS: dict[tuple, tuple] = {}
+
+
+def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple[np.ndarray, ...]]:
+    """Every grid point of a sweep, in blocks of at most _ENGINE_POINTS
+    points.
+
+    Points run over the axis1 values, then theta_deg (degrees).  Each
+    block is yielded as the columns of CSV_FIELDS in the shapes they
+    broadcast from: its head's texts (_grid_heads) for axis1, theta,
+    analytic_dv and trdist_sq, and the floats of sampled_dv, std_err and
+    z, (a, w), from its tail: the Poisson draw and the estimator.  One
+    generator seeded by spec.seed draws the counts block after block in
+    grid order, which gives the counts of one draw over the whole grid.
+    A grid of one block keeps its head in _HEADS, so that the next sweep
+    of the same head, whatever its seed, flux, output or format, reuses
+    it; a head that raises is not kept.
+    """
+    axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
+    if len(axis_values) * len(theta_deg) > _ENGINE_POINTS:
+        heads = _grid_heads(spec, axis_values, theta_deg, column)
+    else:
+        key = (column, axis_values.tobytes(), theta_deg.tobytes(), spec.axis1, np.array(
+            (spec.gamma, spec.alpha_deg, *vars(spec.gate).values()), dtype=float).tobytes())
+        heads = _HEADS.get(key)
+        if heads is None:
+            _HEADS.clear()
+            heads = _HEADS[key] = tuple(_grid_heads(spec, axis_values, theta_deg, column))
+    rng = np.random.default_rng(spec.seed)
+    for (axis1, theta, analytic, trdist_sq), probabilities in heads:
+        sampled, std_err = _estimate_delta_v(_poisson_counts(rng, spec.flux, probabilities))
+        z = np.divide(sampled, std_err, out=np.zeros(sampled.shape), where=std_err > 0.0)
+        yield axis1, theta, analytic, sampled, std_err, z, trdist_sq
 
 
 def _sweep_rows(spec: SweepSpec, column) -> Iterator[tuple[np.ndarray, ...]]:
@@ -233,18 +284,27 @@ _JSON_ROW = "  {\n" + ",\n".join(f'    "{name}": %s' for name in CSV_FIELDS) + "
 _BLOCK_ROWS = 256
 
 
+def _cell_texts(entries: np.ndarray) -> list[str]:
+    """The texts of a flat column's cells: a text column's own, or the
+    reprs of a float column's entries."""
+    cells = entries.tolist()
+    return cells if entries.dtype == object else list(map(repr, cells))
+
+
 def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> None:
     """Write the rows of each engine block, _BLOCK_ROWS at a time: CSV with
     a header line, or JSON with the bytes json.dumps(records, indent=2) and
     a final newline would give.
 
-    The rows are those of a block's columns broadcast together.  Each chunk
-    of rows is one join of a list that repeats a row's pieces, the
-    template's literals with a slot for each cell, and is written once.  A
-    column with one entry per row fills its slots with the reprs of the
-    chunk's entries; a smaller one formats each of its entries once per
-    block, and an iterator repeats its texts in row order, without
-    listing them for the whole block.
+    The rows are those of a block's columns broadcast together.  A column
+    holds floats, or their repr texts (an object array, as a sweep's head
+    gives them), which are written as they are.  Each chunk of rows is one
+    join of a list that repeats a row's pieces, the template's literals
+    with a slot for each cell, and is written once.  A column with one
+    entry per row fills its slots with the texts of the chunk's entries; a
+    smaller one formats each of its entries once per block, and an
+    iterator repeats its texts in row order, without listing them for the
+    whole block.
     """
     if fmt == "csv":
         head, template, separator, tail = ",".join(CSV_FIELDS) + "\n", _CSV_ROW, "\n", "\n"
@@ -265,7 +325,7 @@ def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> 
             if column.size == size:
                 cells.append(column.reshape(-1))
                 continue
-            texts = list(map(repr, column.ravel().tolist()))
+            texts = _cell_texts(column.reshape(-1))
             if column.ndim == 1:  # one text per angle, on every axis value's row
                 cells.append(itertools.chain.from_iterable(itertools.repeat(texts, size // width)))
             else:  # one text per axis value, for each of its angles
@@ -276,7 +336,7 @@ def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> 
             chunk = row * count
             for slot, entries in enumerate(cells):
                 chunk[2 * slot + 1::stride] = (
-                    map(repr, entries[start:start + count].tolist())
+                    _cell_texts(entries[start:start + count])
                     if isinstance(entries, np.ndarray) else itertools.islice(entries, count))
             chunk[0] = lead
             lead = row[0]

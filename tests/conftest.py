@@ -10,6 +10,13 @@ import pytest
 from measurement_coherence import Effect, Observable, QState, cli
 
 
+@pytest.fixture(autouse=True)
+def _no_sweep_head():
+    """Every test starts with an empty sweep head memo, so that a test that
+    spies on a head kernel sees it run."""
+    cli._HEADS.clear()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260810)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -193,14 +194,19 @@ _SIGNED_ZEROS = [tuple(np.resize([0.0, -0.0, -0.0], shape) for shape in block_sh
 class TestWriter:
     @settings(max_examples=80, deadline=None)
     @given(fmt=st.sampled_from(("csv", "json")), blocks=engine_blocks(),
-           block_rows=st.integers(1, 7))
-    @example(fmt="csv", blocks=_SIGNED_ZEROS, block_rows=5)
-    def test_column_writer_matches_the_row_writer(self, fmt, blocks, block_rows):
+           block_rows=st.integers(1, 7),
+           as_texts=st.lists(st.booleans(), min_size=len(CSV_FIELDS), max_size=len(CSV_FIELDS)))
+    @example(fmt="csv", blocks=_SIGNED_ZEROS, block_rows=5, as_texts=[False] * len(CSV_FIELDS))
+    def test_column_writer_matches_the_row_writer(self, fmt, blocks, block_rows, as_texts):
+        # A column reaches the writer as floats or, from a sweep's head, as
+        # their texts; both write the same bytes.
         rows = broadcast_rows(blocks)
+        written = [tuple(cli._texts(column) if text else column
+                         for column, text in zip(columns, as_texts)) for columns in blocks]
         handle = io.StringIO()
         with pytest.MonkeyPatch.context() as patch:  # chunk edges within a few rows
             patch.setattr(cli, "_BLOCK_ROWS", block_rows)
-            _stream_rows(fmt, blocks, handle)
+            _stream_rows(fmt, written, handle)
         # Compared as lists of lines: pytest explains a failed comparison of
         # long strings with a diff that takes longer than the whole example.
         lines = handle.getvalue().splitlines(keepends=True)
@@ -360,7 +366,7 @@ class TestEngineBlocks:
         theta_deg = np.array([theta_deg])
         [(axis1, _theta, column, *_rest)] = cli._grid_rows(spec, theta_deg, cli._family_column)
         theta = np.radians(theta_deg)
-        for p, analytic in zip(axis1.ravel().tolist(), column.ravel().tolist()):
+        for p, analytic in zip(map(float, axis1.ravel()), map(float, column.ravel())):
             states = _family_states(np.array(p), math.sqrt(p * (1.0 - p)) * gamma)
             pair = np.array((states, _luders(states, observable_x()._channel)))
             v_direct, v_dephased = _variances(_born(pair, _tilted_effects(theta[0])),
@@ -393,11 +399,13 @@ class TestEngineBlocks:
 
         spec = SweepSpec(axis1="p", a1_min=p_range[0], a1_max=p_range[1], a1_steps=2,
                          gamma=gamma, gate=GateParams(*gate))
+        cli._HEADS.clear()  # an example may repeat the grid of an earlier one
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_checked_probabilities", kept)
             [(_axis1, _theta, column, *_rest)] = cli._grid_rows(
                 spec, np.array(theta_deg), cli._gated_means_column)
         [probabilities] = seen
+        column = np.array(list(map(float, column.ravel()))).reshape(column.shape)
         variances = _variances(probabilities, np.array([-1.0, 1.0]))
         reference = variances[..., 1] - variances[..., 0]
         assert column.shape == reference.shape
@@ -414,6 +422,187 @@ class TestEngineBlocks:
         cells = (tmp_path / "x.csv").read_text().replace("\n", ",").split(",")
         assert "0.0" in cells
         assert "-0.0" not in cells
+
+
+def run_to_bytes(argv):
+    """Exit status, stderr and the bytes of the --out file (None when there
+    is none) of one cli.main run; the last --out names the file, which is
+    then removed."""
+    argv = [str(arg) for arg in argv]
+    path = pathlib.Path(argv[len(argv) - argv[::-1].index("--out")])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    data = path.read_bytes() if path.exists() else None
+    path.unlink(missing_ok=True)
+    return code, err.getvalue(), data
+
+
+def memo_head():
+    """The one head the memo holds."""
+    [head] = cli._HEADS.values()
+    return head
+
+
+# Per SweepSpec field: the axis of the base sweep, the flags appended to it
+# that change the field alone (one list per change; the last of repeated
+# flags wins), and whether the changed sweep reuses the base sweep's head.
+FIELD_CHANGES = {
+    "axis1": ("p", [["--axis1", "gamma"]], False),
+    "a1_min": ("p", [["--a1-min", 0.25]], False),
+    "a1_max": ("p", [["--a1-max", 0.75]], False),
+    "a1_steps": ("p", [["--a1-steps", 4]], False),
+    "theta_min_deg": ("p", [["--theta-min", 10.0]], False),
+    "theta_max_deg": ("p", [["--theta-max", 170.0]], False),
+    "theta_steps": ("p", [["--theta-steps", 5]], False),
+    "gamma": ("p", [["--gamma", 0.5]], False),
+    "alpha_deg": ("gamma", [["--alpha", 30.0]], False),
+    "gate": ("p", [["--th", 0.9], ["--tv", 0.3], ["--visibility", 0.9]], False),
+    "flux": ("p", [["--flux", 3000.0]], True),
+    "seed": ("p", [["--seed", 8]], True),
+    "out": ("p", [["--out", "other.csv"]], True),
+    "fmt": ("p", [["--format", "json"]], True),
+}
+
+
+class TestHeadMemo:
+    """A one-block sweep keeps its head for the next sweep of the same
+    head; no output byte depends on it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        command=st.sampled_from(sorted(cli._COMMANDS)),
+        steps=st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        theta_range=st.lists(
+            st.floats(-360.0, 360.0), min_size=2, max_size=2, unique=True
+        ).map(sorted),
+        fixed=st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 45.0)),
+        gate=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32),
+        flux=st.floats(100.0, 1e6),
+        fmt=st.sampled_from(("csv", "json")),
+    )
+    def test_warm_head_gives_the_cold_bytes(
+        self, data, command, steps, theta_range, fixed, gate, seed, flux, fmt
+    ):
+        axis1 = data.draw(st.sampled_from(cli._COMMANDS[command][2]))
+        a1_min, a1_max = data.draw(_axis_range(axis1))
+        spec = SweepSpec(
+            axis1=axis1, a1_min=a1_min, a1_max=a1_max, a1_steps=steps[0],
+            theta_min_deg=theta_range[0], theta_max_deg=theta_range[1],
+            theta_steps=steps[1], gamma=fixed[0], alpha_deg=fixed[1],
+            gate=GateParams(*gate),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            grid = grid_argv(command, spec) + ["--out", os.path.join(tmp, "x")]
+            run = grid + [f"--seed={seed}", f"--flux={flux}", f"--format={fmt}"]
+            cli._HEADS.clear()
+            cold = run_to_bytes(run)
+            cli._HEADS.clear()
+            # the same grid with another seed, flux and format
+            other = {"csv": "json", "json": "csv"}[fmt]
+            filler = run_to_bytes(grid + [f"--seed={seed + 1}", f"--flux={2.0 * flux}",
+                                          f"--format={other}"])
+            assert filler[:2] == (0, "")
+            head = memo_head()
+            warm = run_to_bytes(run)
+            assert memo_head() is head
+        assert warm == cold
+        assert cold[:2] == (0, "")
+
+    @pytest.mark.parametrize("field_name", [f.name for f in fields(SweepSpec)])
+    def test_each_field_is_read_by_the_head_or_reuses_it(self, field_name, tmp_path):
+        axis1, changes, reused = FIELD_CHANGES[field_name]
+        base = ["simulate", "--axis1", axis1, "--a1-steps", 3, "--theta-steps", 4,
+                "--out", tmp_path / "x.csv"]
+        for change in changes:
+            change = [tmp_path / arg if arg == "other.csv" else arg for arg in change]
+            cli._HEADS.clear()
+            assert run_to_bytes(base)[0] == 0
+            head = memo_head()
+            warm = run_to_bytes(base + change)
+            assert (memo_head() is head) == reused
+            cli._HEADS.clear()
+            assert run_to_bytes(base + change) == warm
+            assert warm[0] == 0
+
+    @pytest.mark.parametrize("first, second", [
+        # Both take the family's closed form, but max-violation pins theta
+        # to 90 degrees.
+        (["sweep-pure"], ["max-violation"]),
+        # The same grid and the ideal gate, but another analytic column.
+        (["sweep-pure", "--theta-steps", "4"],
+         ["simulate", "--theta-steps", "4", "--th", "1.0", "--tv", repr(1.0 / 3.0)]),
+    ])
+    def test_commands_with_equal_specs_do_not_share_a_head(self, first, second, tmp_path):
+        grid = ["--a1-steps", "5", "--out", str(tmp_path / "x.csv")]
+        specs = [cli._spec_from_args(cli._parse_args(argv + grid)) for argv in (first, second)]
+        assert specs[0] == specs[1]
+        assert run_to_bytes(first + grid)[0] == 0
+        head = memo_head()
+        warm = run_to_bytes(second + grid)
+        assert memo_head() is not head
+        cli._HEADS.clear()
+        assert run_to_bytes(second + grid) == warm
+        assert warm[0] == 0
+
+    def test_a_head_that_raises_is_not_kept(self, tmp_path):
+        argv = ["simulate", "--th", 0, "--tv", 0, "--a1-steps", 3, "--theta-steps", 3,
+                "--out", tmp_path / "x.csv"]
+        first = run_to_bytes(argv)
+        assert first[0] == 1
+        assert first[1].startswith("error: coincidence success probability")
+        assert first[2] is None
+        assert not cli._HEADS
+        assert run_to_bytes(argv) == first
+        assert not cli._HEADS
+
+    def test_memo_keeps_one_read_only_head_of_a_one_block_sweep(self, tmp_path):
+        out = ["--out", tmp_path / "x.csv"]
+        for command in cli._COMMANDS:
+            assert run_main([command, *out]) == 0
+            [(texts, probabilities)] = memo_head()
+            assert len(texts) == 4
+            for array in (*texts, probabilities):
+                assert array.flags.writeable is False
+            for column in texts:
+                assert all(type(text) is str for text in column.ravel())
+            with pytest.raises(ValueError, match="read-only"):
+                probabilities[0, 0, 0, 0] = 0.5
+        head = memo_head()
+        # 200 x 100 points: two engine blocks
+        many = ["simulate", "--a1-steps", 200, "--theta-steps", 100, *out]
+        assert run_main(many) == 0
+        assert memo_head() is head
+        cli._HEADS.clear()
+        assert run_main(many) == 0
+        assert not cli._HEADS
+
+    @pytest.mark.parametrize("steps, bound", [(50, 500_000), (128, 2_500_000)])
+    def test_memo_size_and_the_cold_peak(self, steps, bound, tmp_path):
+        # 128 x 128 points fill one engine block.  A cold sweep builds the
+        # head that a warm one reads, and keeps it: its peak exceeds a warm
+        # sweep's by no more than the memo holds.
+        argv = ["simulate", "--a1-steps", steps, "--theta-steps", steps,
+                "--out", tmp_path / "x.csv"]
+        assert run_main(argv) == 0  # first-call caches stay out of the peaks
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            assert run_main(argv + ["--seed", 1]) == 0
+            warm = tracemalloc.get_traced_memory()[1] - start
+            cli._HEADS.clear()
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            assert run_main(argv + ["--seed", 2]) == 0
+            held, peak = tracemalloc.get_traced_memory()
+            cli._HEADS.clear()
+            kept = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < kept <= bound
+        assert peak - start <= warm + kept
 
 
 class TestSweepPure:
@@ -653,6 +842,24 @@ class TestExitCodes:
         assert run_main(self.LATE_FAILURE + ["--out", link]) == 1
         assert capsys.readouterr().err.startswith("error: count record is empty")
         assert link.is_symlink() and target.is_file()
+
+    def test_late_failure_on_stdout_leaves_the_rows_written(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # In blocks of 6 points, this 18-point grid draws an empty count
+        # record in its third block, after the first two are written.  On
+        # stdout those rows stay: exit status 1 and the error line are the
+        # only signal.  With --out the same sweep leaves no file.
+        monkeypatch.setattr(cli, "_ENGINE_POINTS", 6)
+        argv = ["simulate", "--a1-steps", 3, "--theta-steps", 6, "--flux", 3, "--seed", 3]
+        assert run_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: count record is empty\n"
+        lines = captured.out.splitlines()
+        assert lines[0] == ",".join(CSV_FIELDS)
+        assert len(lines) == 1 + 2 * 6
+        assert run_main(argv + ["--out", tmp_path / "x.csv"]) == 1
+        assert capsys.readouterr() == ("", "error: count record is empty\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize(
         "argv",
@@ -900,10 +1107,9 @@ class TestEngineMatchesObjectPath:
         check_records("simulate", spec)
 
 
-def check_records(command, spec):
-    """Run the command on spec's grid through cli.main and check each row it
-    writes against the per-object API; the simulated column goes through
-    the 4x4 reference gate."""
+def grid_argv(command, spec):
+    """The argv of the command on spec's grid and gate, each flag joined to
+    its value."""
     # A flag the command does not read on this axis is a usage error;
     # every command reads the gate's.
     flags = {"--axis1": spec.axis1, "--a1-min": spec.a1_min, "--a1-max": spec.a1_max,
@@ -916,9 +1122,15 @@ def check_records(command, spec):
         flags["--gamma"] = spec.gamma
     elif command != "max-violation":
         flags["--alpha"] = spec.alpha_deg
+    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+def check_records(command, spec):
+    """Run the command on spec's grid through cli.main and check each row it
+    writes against the per-object API; the simulated column goes through
+    the 4x4 reference gate."""
     with tempfile.TemporaryDirectory() as tmp:
-        records = sweep_rows([command] + [f"{flag}={value}" for flag, value in flags.items()],
-                             os.path.join(tmp, "sweep.csv"))
+        records = sweep_rows(grid_argv(command, spec), os.path.join(tmp, "sweep.csv"))
 
     thetas = [90.0] if command == "max-violation" else list(
         np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
