@@ -48,18 +48,21 @@ from the means of its two gated runs, so no variance is taken.
 
 Each engine block has a head and a tail.  The head is all that the sweep
 computes without --seed or --flux: the block's checked probabilities and
-the repr texts of its axis1, theta, analytic_dv and trdist_sq columns.
-The tail draws the Poisson counts and runs the estimator, and its three
-float columns (sampled_dv, std_err, z) are the only ones the writer still
-formats.  A sweep whose grid fits in one engine block keeps its head in a
-one-entry memo, keyed bit for bit on all that the head reads (the
-command's column, the axis and theta grids, axis1, gamma, alpha and the
-gate), so the next sweep in the same process that differs only in
---seed, --flux, --out or --format reuses it.  The memo lives for the
-process and holds at most one head, about 0.3 MB for the default 50x50
-grid and under 2.5 MB for a full block; its arrays are read-only and a
-head that raises is not kept.  A sweep of more than one block builds each
-block's head in turn, with the same code, and keeps none.
+its axis1, theta, analytic_dv and trdist_sq columns.  The tail draws the
+Poisson counts and runs the estimator.  A sweep whose grid fits in one
+engine block keeps its head in a one-entry memo, keyed bit for bit on
+all that the head reads (the command's column, the axis and theta grids,
+axis1, gamma, alpha and the gate).  So the next sweep in the same process
+that differs only in --seed, --flux, --out or --format reuses it.  That
+sweep also turns the head's four columns into their repr texts, kept in
+the memo, so from the third sweep of a grid on the writer formats only
+the tail's three float columns (sampled_dv, std_err, z); a grid swept
+once costs what it did without the memo.  Repeating a grid this way is
+what demos/06_calibration.py does, 40 seeds per flux.  The memo lives
+for the process and holds at most one head, about 0.3 MB for the default
+50x50 grid and under 2.5 MB for a full block; its arrays are read-only
+and a head that raises is not kept.  A sweep of more than one block
+builds each block's head in turn, with the same code, and keeps none.
 
 The writer writes each chunk of rows as one join of the row template's
 pieces and the cells' texts, and formats a column broadcast over a block
@@ -189,8 +192,8 @@ def _grid_heads(spec: SweepSpec, axis_values: np.ndarray, theta_deg: np.ndarray,
 
     A block is a rectangle of the grid: whole theta rows, or one piece of
     a theta row longer than _ENGINE_POINTS.  The head of a block of a axis
-    values by w angles is the texts of axis1 and trdist_sq (a, 1), of
-    theta (w,) and of the analytic column (a, w), with the block's checked
+    values by w angles is its axis1 and trdist_sq columns (a, 1), theta
+    (w,) and the analytic column (a, w), with the block's checked
     probabilities (axis value, angle, meter mode, outcome).  It derives
     what depends on the state alone for the block's own axis values, from
     the qubit family's own parameters, and broadcasts it over theta; it
@@ -215,8 +218,7 @@ def _grid_heads(spec: SweepSpec, axis_values: np.ndarray, theta_deg: np.ndarray,
         # Measuring x and forgetting the outcome keeps the populations and
         # drops the coherence, so the eigenvalues of rho - rho' are +-|off|
         # and trdist_sq = ||rho - rho'||_1^2 = 4 off^2.
-        axis1 = _texts(axis_values[a:a + rows, None])
-        trdist_sq = _texts((4.0 * off * off)[:, None])
+        axis1, trdist_sq = axis_values[a:a + rows, None], (4.0 * off * off)[:, None]
         for t in range(0, steps, width):
             angles = radians[t:t + width]
             # (axis, meter mode) signals against the (theta, outcome)
@@ -225,8 +227,8 @@ def _grid_heads(spec: SweepSpec, axis_values: np.ndarray, theta_deg: np.ndarray,
             probabilities = _checked_probabilities(
                 _born(signals, _tilted_effects(angles).reshape(-1, 2, 2))
                 .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
-            yield ((axis1, _texts(theta_deg[t:t + width]),
-                    _texts(column(p, off, angles, probabilities)), trdist_sq), probabilities)
+            yield ((axis1, theta_deg[t:t + width], column(p, off, angles, probabilities),
+                    trdist_sq), probabilities)
 
 
 # The heads of the last one-block sweep, keyed by all that they read.
@@ -239,14 +241,15 @@ def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple
 
     Points run over the axis1 values, then theta_deg (degrees).  Each
     block is yielded as the columns of CSV_FIELDS in the shapes they
-    broadcast from: its head's texts (_grid_heads) for axis1, theta,
-    analytic_dv and trdist_sq, and the floats of sampled_dv, std_err and
-    z, (a, w), from its tail: the Poisson draw and the estimator.  One
-    generator seeded by spec.seed draws the counts block after block in
-    grid order, which gives the counts of one draw over the whole grid.
-    A grid of one block keeps its head in _HEADS, so that the next sweep
-    of the same head, whatever its seed, flux, output or format, reuses
-    it; a head that raises is not kept.
+    broadcast from: its head's (_grid_heads) axis1, theta, analytic_dv
+    and trdist_sq, and sampled_dv, std_err and z, (a, w), from its tail:
+    the Poisson draw and the estimator.  One generator seeded by
+    spec.seed draws the counts block after block in grid order, which
+    gives the counts of one draw over the whole grid.  A grid of one block
+    keeps its head in _HEADS, so that the next sweep of the same head,
+    whatever its seed, flux, output or format, reuses it; a head that
+    raises is not kept.  The first sweep keeps the head's floats, and the
+    second turns its four columns into their texts for every later one.
     """
     axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
     if len(axis_values) * len(theta_deg) > _ENGINE_POINTS:
@@ -257,7 +260,13 @@ def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple
         heads = _HEADS.get(key)
         if heads is None:
             _HEADS.clear()
-            heads = _HEADS[key] = tuple(_grid_heads(spec, axis_values, theta_deg, column))
+            heads = _HEADS[key] = tuple(
+                (tuple(map(_read_only, columns)), probabilities)
+                for columns, probabilities in _grid_heads(spec, axis_values, theta_deg, column))
+        elif heads[0][0][0].dtype != object:
+            # The grid repeats: keep the texts the writer would format again.
+            heads = _HEADS[key] = tuple(
+                (tuple(map(_texts, columns)), probabilities) for columns, probabilities in heads)
     rng = np.random.default_rng(spec.seed)
     for (axis1, theta, analytic, trdist_sq), probabilities in heads:
         sampled, std_err = _estimate_delta_v(_poisson_counts(rng, spec.flux, probabilities))

@@ -444,6 +444,22 @@ def memo_head():
     return head
 
 
+@contextlib.contextmanager
+def head_builds():
+    """The arguments of every head built (cli._grid_heads call) inside the
+    block."""
+    built = []
+    heads = cli._grid_heads
+
+    def counted(*args):
+        built.append(args)
+        return heads(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_grid_heads", counted)
+        yield built
+
+
 # Per SweepSpec field: the axis of the base sweep, the flags appended to it
 # that change the field alone (one list per change; the last of repeated
 # flags wins), and whether the changed sweep reuses the base sweep's head.
@@ -505,10 +521,12 @@ class TestHeadMemo:
             filler = run_to_bytes(grid + [f"--seed={seed + 1}", f"--flux={2.0 * flux}",
                                           f"--format={other}"])
             assert filler[:2] == (0, "")
-            head = memo_head()
-            warm = run_to_bytes(run)
-            assert memo_head() is head
-        assert warm == cold
+            # The first reuse turns the head's columns into texts; the
+            # second writes them.
+            with head_builds() as built:
+                warm = [run_to_bytes(run), run_to_bytes(run)]
+            assert not built
+        assert warm == [cold, cold]
         assert cold[:2] == (0, "")
 
     @pytest.mark.parametrize("field_name", [f.name for f in fields(SweepSpec)])
@@ -520,9 +538,10 @@ class TestHeadMemo:
             change = [tmp_path / arg if arg == "other.csv" else arg for arg in change]
             cli._HEADS.clear()
             assert run_to_bytes(base)[0] == 0
-            head = memo_head()
-            warm = run_to_bytes(base + change)
-            assert (memo_head() is head) == reused
+            assert run_to_bytes(base)[0] == 0  # the head now holds texts
+            with head_builds() as built:
+                warm = run_to_bytes(base + change)
+            assert (not built) == reused
             cli._HEADS.clear()
             assert run_to_bytes(base + change) == warm
             assert warm[0] == 0
@@ -540,9 +559,10 @@ class TestHeadMemo:
         specs = [cli._spec_from_args(cli._parse_args(argv + grid)) for argv in (first, second)]
         assert specs[0] == specs[1]
         assert run_to_bytes(first + grid)[0] == 0
-        head = memo_head()
-        warm = run_to_bytes(second + grid)
-        assert memo_head() is not head
+        assert run_to_bytes(first + grid)[0] == 0
+        with head_builds() as built:
+            warm = run_to_bytes(second + grid)
+        assert len(built) == 1
         cli._HEADS.clear()
         assert run_to_bytes(second + grid) == warm
         assert warm[0] == 0
@@ -561,15 +581,17 @@ class TestHeadMemo:
     def test_memo_keeps_one_read_only_head_of_a_one_block_sweep(self, tmp_path):
         out = ["--out", tmp_path / "x.csv"]
         for command in cli._COMMANDS:
-            assert run_main([command, *out]) == 0
-            [(texts, probabilities)] = memo_head()
-            assert len(texts) == 4
-            for array in (*texts, probabilities):
-                assert array.flags.writeable is False
-            for column in texts:
-                assert all(type(text) is str for text in column.ravel())
-            with pytest.raises(ValueError, match="read-only"):
-                probabilities[0, 0, 0, 0] = 0.5
+            # The first sweep of a grid keeps its floats, a repeat its texts.
+            for kind in (float, str):
+                assert run_main([command, *out]) == 0
+                [(columns, probabilities)] = memo_head()
+                assert len(columns) == 4
+                for array in (*columns, probabilities):
+                    assert array.flags.writeable is False
+                for column in columns:
+                    assert all(type(cell) is kind for cell in column.ravel().tolist())
+                with pytest.raises(ValueError, match="read-only"):
+                    probabilities[0, 0, 0, 0] = 0.5
         head = memo_head()
         # 200 x 100 points: two engine blocks
         many = ["simulate", "--a1-steps", 200, "--theta-steps", 100, *out]
@@ -582,27 +604,38 @@ class TestHeadMemo:
     @pytest.mark.parametrize("steps, bound", [(50, 500_000), (128, 2_500_000)])
     def test_memo_size_and_the_cold_peak(self, steps, bound, tmp_path):
         # 128 x 128 points fill one engine block.  A cold sweep builds the
-        # head that a warm one reads, and keeps it: its peak exceeds a warm
-        # sweep's by no more than the memo holds.
+        # head and keeps its floats, the first repeat keeps its texts: the
+        # peak of each exceeds a warm sweep's by no more than the memo then
+        # holds.
         argv = ["simulate", "--a1-steps", steps, "--theta-steps", steps,
                 "--out", tmp_path / "x.csv"]
-        assert run_main(argv) == 0  # first-call caches stay out of the peaks
+        # First-call caches stay out of the peaks.
+        assert run_main(argv) == 0
+        assert run_main(argv + ["--seed", 1]) == 0
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            assert run_main(argv + ["--seed", 1]) == 0
+            assert run_main(argv + ["--seed", 2]) == 0
             warm = tracemalloc.get_traced_memory()[1] - start
             cli._HEADS.clear()
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            assert run_main(argv + ["--seed", 2]) == 0
-            held, peak = tracemalloc.get_traced_memory()
+            # Of the cold sweep and the first repeat: the peak and what the
+            # memo grew by.
+            grown = []
+            for seed in (3, 4):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                assert run_main(argv + ["--seed", seed]) == 0
+                held, peak = tracemalloc.get_traced_memory()
+                grown.append((peak - start, held - start))
+            held = tracemalloc.get_traced_memory()[0]
             cli._HEADS.clear()
             kept = held - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert 0 < kept <= bound
-        assert peak - start <= warm + kept
+        for peak, more in grown:
+            assert 0 < more <= kept
+            assert peak <= warm + more
 
 
 class TestSweepPure:
