@@ -47,21 +47,27 @@ of simulate is the gate model's own prediction, (m_H - m_+)(m_H + m_+)
 from the means of its two gated runs, so no variance is taken.
 
 Each engine block has a head and a tail.  The head is all that the sweep
-computes without --seed or --flux: the block's checked probabilities and
-its axis1, theta, analytic_dv and trdist_sq columns.  The tail draws the
-Poisson counts and runs the estimator.  A sweep whose grid fits in one
-engine block keeps its head in a one-entry memo, keyed bit for bit on
-all that the head reads (the command's column, the axis and theta grids,
-axis1, gamma, alpha and the gate).  So the next sweep in the same process
-that differs only in --seed, --flux, --out or --format reuses it.  That
-sweep also turns the head's four columns into their repr texts, kept in
-the memo, so from the third sweep of a grid on the writer formats only
-the tail's three float columns (sampled_dv, std_err, z); a grid swept
-once costs what it did without the memo.  Repeating a grid this way is
-what demos/06_calibration.py does, 40 seeds per flux.  The memo lives
-for the process and holds at most one head, about 0.3 MB for the default
-50x50 grid and under 2.5 MB for a full block; its arrays are read-only
-and a head that raises is not kept.  A sweep of more than one block
+computes without --seed or --flux: its axis1, theta, analytic_dv and
+trdist_sq columns, and the Poisson means per unit flux, which are the
+block's checked probabilities with round-off (at most PROBABILITY_FLOOR)
+snapped to 0 once the analytic column is taken.  The tail is only what
+reads --seed and --flux: the Poisson draw at flux times the means, the
+estimator and z.  A sweep whose grid fits in one engine block keeps its
+head in a one-entry memo, keyed on the numbers the head is built from:
+the command's column, axis1, both step counts and the float64 bytes of
+the axis and theta bounds, gamma, alpha and the gate.  The grids are
+functions of those numbers, built only when the head is, so the key is
+at least as fine as their bytes; the float bytes keep -0.0 apart from
+0.0.  So the next sweep in the same process that differs only in --seed,
+--flux, --out or --format reuses the head.  That sweep also turns the
+head's four columns into their repr texts, kept in the memo, so from the
+third sweep of a grid on the writer formats only the tail's three float
+columns (sampled_dv, std_err, z); a grid swept once costs what it did
+without the memo.  Repeating a grid this way is what
+demos/06_calibration.py does, 40 seeds per flux.  The memo lives for the
+process and holds at most one head, about 0.3 MB for the default 50x50
+grid and under 2.5 MB for a full block; its arrays are read-only and a
+head that raises is not kept.  A sweep of more than one block
 builds each block's head in turn, with the same code, and keeps none.
 
 The writer writes each chunk of rows as one join of the row template's
@@ -97,7 +103,7 @@ from .photonics import (
     _estimate_delta_v,
     _gate_multiplier,
     _gated_signals,
-    _poisson_counts,
+    _snap_round_off,
 )
 from .qubit import _born, _family_states, _read_only, _tilted_effects
 
@@ -185,21 +191,26 @@ def _texts(column: np.ndarray) -> np.ndarray:
     return _read_only(texts.reshape(column.shape))
 
 
-def _grid_heads(spec: SweepSpec, axis_values: np.ndarray, theta_deg: np.ndarray,
+def _grid_heads(spec: SweepSpec, theta: tuple[float, float, int],
                 column) -> Iterator[tuple[tuple[np.ndarray, ...], np.ndarray]]:
     """The head of each engine block of a sweep: all that it computes
     without spec.seed or spec.flux.
 
-    A block is a rectangle of the grid: whole theta rows, or one piece of
-    a theta row longer than _ENGINE_POINTS.  The head of a block of a axis
-    values by w angles is its axis1 and trdist_sq columns (a, 1), theta
-    (w,) and the analytic column (a, w), with the block's checked
-    probabilities (axis value, angle, meter mode, outcome).  It derives
-    what depends on the state alone for the block's own axis values, from
-    the qubit family's own parameters, and broadcasts it over theta; it
-    builds the analyzer effects of its own angles.
+    The grid is spec's axis1 values by the angles np.linspace(*theta)
+    (degrees).  A block is a rectangle of it: whole theta rows, or one
+    piece of a theta row longer than _ENGINE_POINTS.  The head of a block
+    of a axis values by w angles is its axis1 and trdist_sq columns
+    (a, 1), theta (w,) and the analytic column (a, w), with the block's
+    Poisson means per unit flux (axis value, angle, meter mode, outcome):
+    its checked probabilities, snapped by _snap_round_off once the
+    analytic column is taken, and read-only.  It derives what depends on
+    the state alone for the block's own axis values, from the qubit
+    family's own parameters, and broadcasts it over theta; it builds the
+    analyzer effects of its own angles.
     column(p, off, angles, probabilities) gives the analytic column.
     """
+    axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
+    theta_deg = np.linspace(*theta)
     steps = len(theta_deg)
     rows, width = max(_ENGINE_POINTS // steps, 1), min(steps, _ENGINE_POINTS)
     if rows < len(axis_values):
@@ -223,66 +234,77 @@ def _grid_heads(spec: SweepSpec, axis_values: np.ndarray, theta_deg: np.ndarray,
             angles = radians[t:t + width]
             # (axis, meter mode) signals against the (theta, outcome)
             # effects, read as (axis, theta, meter mode, outcome): grid
-            # order for the draw.
-            probabilities = _checked_probabilities(
+            # order for the draw.  Copied into that order, so that the
+            # complex Born product is freed before the check, which is the
+            # peak of the head.
+            probabilities = _checked_probabilities(np.ascontiguousarray(
                 _born(signals, _tilted_effects(angles).reshape(-1, 2, 2))
-                .reshape(-1, 2, len(angles), 2).swapaxes(1, 2))
-            yield ((axis1, theta_deg[t:t + width], column(p, off, angles, probabilities),
-                    trdist_sq), probabilities)
+                .reshape(-1, 2, len(angles), 2).swapaxes(1, 2)))
+            analytic = column(p, off, angles, probabilities)
+            # The checked copy is the block's own: it becomes the means.
+            probabilities.setflags(write=True)
+            yield ((axis1, theta_deg[t:t + width], analytic, trdist_sq),
+                   _read_only(_snap_round_off(probabilities)))
 
 
 # The heads of the last one-block sweep, keyed by all that they read.
 _HEADS: dict[tuple, tuple] = {}
 
 
-def _grid_rows(spec: SweepSpec, theta_deg: np.ndarray, column) -> Iterator[tuple[np.ndarray, ...]]:
+def _grid_rows(spec: SweepSpec, theta: tuple[float, float, int],
+               column) -> Iterator[tuple[np.ndarray, ...]]:
     """Every grid point of a sweep, in blocks of at most _ENGINE_POINTS
     points.
 
-    Points run over the axis1 values, then theta_deg (degrees).  Each
-    block is yielded as the columns of CSV_FIELDS in the shapes they
-    broadcast from: its head's (_grid_heads) axis1, theta, analytic_dv
-    and trdist_sq, and sampled_dv, std_err and z, (a, w), from its tail:
-    the Poisson draw and the estimator.  One generator seeded by
-    spec.seed draws the counts block after block in grid order, which
-    gives the counts of one draw over the whole grid.  A grid of one block
-    keeps its head in _HEADS, so that the next sweep of the same head,
-    whatever its seed, flux, output or format, reuses it; a head that
-    raises is not kept.  The first sweep keeps the head's floats, and the
-    second turns its four columns into their texts for every later one.
+    Points run over the axis1 values, then the angles np.linspace(*theta)
+    (degrees).  Each block is yielded as the columns of CSV_FIELDS in the
+    shapes they broadcast from: its head's (_grid_heads) axis1, theta,
+    analytic_dv and trdist_sq, and sampled_dv, std_err and z, (a, w), from
+    its tail: the Poisson draw at spec.flux times the head's means, and
+    the estimator.  One generator seeded by spec.seed draws the counts
+    block after block in grid order, which gives the counts of one draw
+    over the whole grid.  A grid of one block keeps its head in _HEADS,
+    keyed on the numbers the head is built from, so that the next sweep
+    of the same head, whatever its seed, flux, output or format, reuses
+    it; a head that raises is not kept.  The first sweep keeps the head's
+    floats, and the second turns its four columns into their texts for
+    every later one.
     """
-    axis_values = np.linspace(spec.a1_min, spec.a1_max, spec.a1_steps)
-    if len(axis_values) * len(theta_deg) > _ENGINE_POINTS:
-        heads = _grid_heads(spec, axis_values, theta_deg, column)
+    if spec.a1_steps * theta[2] > _ENGINE_POINTS:
+        heads = _grid_heads(spec, theta, column)
     else:
-        key = (column, axis_values.tobytes(), theta_deg.tobytes(), spec.axis1, np.array(
-            (spec.gamma, spec.alpha_deg, *vars(spec.gate).values()), dtype=float).tobytes())
+        # The grids are functions of these numbers, so the key is at least
+        # as fine as their bytes; float64 bytes keep -0.0 apart from 0.0.
+        key = (column, spec.axis1, spec.a1_steps, theta[2], np.array(
+            (spec.a1_min, spec.a1_max, theta[0], theta[1], spec.gamma, spec.alpha_deg,
+             *vars(spec.gate).values()), dtype=float).tobytes())
         heads = _HEADS.get(key)
         if heads is None:
             _HEADS.clear()
             heads = _HEADS[key] = tuple(
-                (tuple(map(_read_only, columns)), probabilities)
-                for columns, probabilities in _grid_heads(spec, axis_values, theta_deg, column))
+                (tuple(map(_read_only, columns)), means)
+                for columns, means in _grid_heads(spec, theta, column))
         elif heads[0][0][0].dtype != object:
             # The grid repeats: keep the texts the writer would format again.
             heads = _HEADS[key] = tuple(
-                (tuple(map(_texts, columns)), probabilities) for columns, probabilities in heads)
+                (tuple(map(_texts, columns)), means) for columns, means in heads)
     rng = np.random.default_rng(spec.seed)
-    for (axis1, theta, analytic, trdist_sq), probabilities in heads:
-        sampled, std_err = _estimate_delta_v(_poisson_counts(rng, spec.flux, probabilities))
+    for (axis1, theta_deg, analytic, trdist_sq), means in heads:
+        # SweepSpec has checked the flux.
+        sampled, std_err = _estimate_delta_v(rng.poisson(spec.flux * means))
         z = np.divide(sampled, std_err, out=np.zeros(sampled.shape), where=std_err > 0.0)
-        yield axis1, theta, analytic, sampled, std_err, z, trdist_sq
+        yield axis1, theta_deg, analytic, sampled, std_err, z, trdist_sq
 
 
 def _sweep_rows(spec: SweepSpec, column) -> Iterator[tuple[np.ndarray, ...]]:
-    theta_deg = np.linspace(spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps)
-    return _grid_rows(spec, theta_deg, column)
+    return _grid_rows(spec, (spec.theta_min_deg, spec.theta_max_deg, spec.theta_steps), column)
 
 
 def _max_violation_rows(spec: SweepSpec, column) -> Iterator[tuple[np.ndarray, ...]]:
     if spec.axis1 == "gamma":
         spec = replace(spec, alpha_deg=45.0 / 2.0)  # p = 0.4999999999999999
-    return _grid_rows(spec, np.array([90.0]), column)
+    # np.linspace(90.0, 90.0, 1) is np.array([90.0]) to the bit.
+    return _grid_rows(spec, (90.0, 90.0, 1), column)
 
 
 # Row templates over the texts of the cells.  repr of a float is its

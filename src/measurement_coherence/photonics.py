@@ -328,17 +328,24 @@ def run_setting(
     return OutcomeDistribution((-1.0, +1.0), _born(signal, _tilted_effects(theta)))
 
 
-def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -> np.ndarray:
-    """Independent Poisson counts with means mean_flux * P, drawn in array order.
+def _snap_round_off(probabilities: np.ndarray) -> np.ndarray:
+    """Set the probabilities at or below PROBABILITY_FLOOR to 0, in place,
+    and return the array.
 
-    Probabilities at or below PROBABILITY_FLOOR are round-off and count as
-    0.  The generator draws no variate for a zero mean and at least one
-    for a positive mean, so without the snap a round-off change in one
-    cell would shift every later count of the sweep.
+    Those are round-off, and the Poisson draw counts them as 0.  The
+    generator draws no variate for a zero mean and at least one for a
+    positive mean, so without the snap a round-off change in one cell
+    would shift every later count of the sweep.
     """
+    probabilities[probabilities <= PROBABILITY_FLOOR] = 0.0
+    return probabilities
+
+
+def _poisson_counts(rng: np.random.Generator, mean_flux: float, probabilities) -> np.ndarray:
+    """Independent Poisson counts with means mean_flux * P, drawn in array
+    order, with P snapped by _snap_round_off (on a copy)."""
     _check_flux(mean_flux)
-    snapped = np.where(probabilities <= PROBABILITY_FLOOR, 0.0, probabilities)
-    return rng.poisson(mean_flux * snapped)
+    return rng.poisson(mean_flux * _snap_round_off(np.array(probabilities, dtype=float)))
 
 
 def sample_counts(dist: OutcomeDistribution, mean_flux: float, seed: int) -> CountRecord:
@@ -363,16 +370,21 @@ def _estimate_delta_v(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EstimationError("count record is empty")
     # The sums stay exact in int64 and are rounded once.  16 m^2 is
     # 16 (m m) to the bit: the scaling is exact and m^2 >= N^-2 is normal.
+    # Each step runs in place on the buffer it reads, in the order of
+    # 1 - m^2 and 16 m^2 n+ n- / N^3 as written, so each rounds the same.
     counts, totals = counts.astype(float), totals.astype(float)
     n_minus, n_plus = counts[..., 0], counts[..., 1]
-    mean = (n_plus - n_minus) / totals
-    mean_sq = mean * mean
+    mean_sq = n_plus - n_minus
+    mean_sq /= totals
+    mean_sq *= mean_sq  # m = (n+ - n-) / N, squared
     var_est = 1.0 - mean_sq
-    var_of_est = 16.0 * mean_sq * n_plus * n_minus / totals ** 3
-    return (
-        var_est[..., 1] - var_est[..., 0],
-        np.sqrt(var_of_est[..., 0] + var_of_est[..., 1]),
-    )
+    var_of_est = mean_sq
+    var_of_est *= 16.0
+    var_of_est *= n_plus
+    var_of_est *= n_minus
+    totals **= 3
+    var_of_est /= totals
+    return var_est[..., 1] - var_est[..., 0], np.sqrt(var_of_est[..., 0] + var_of_est[..., 1])
 
 
 def _signed_counts(record: CountRecord) -> np.ndarray:

@@ -30,7 +30,7 @@ from measurement_coherence import (
     observable_y,
 )
 from measurement_coherence import cli, photonics
-from measurement_coherence.channels import _luders
+from measurement_coherence.channels import PROBABILITY_FLOOR, _luders
 from measurement_coherence.qubit import (
     _born, _family_states, _tilted_effects, _trace_norm, _variances)
 from measurement_coherence.cli import (
@@ -363,9 +363,9 @@ class TestEngineBlocks:
         # the variances of y(theta).
         spec = SweepSpec(axis1="p", a1_min=p_range[0], a1_max=p_range[1], a1_steps=2,
                          gamma=gamma)
-        theta_deg = np.array([theta_deg])
-        [(axis1, _theta, column, *_rest)] = cli._grid_rows(spec, theta_deg, cli._family_column)
-        theta = np.radians(theta_deg)
+        [(axis1, _theta, column, *_rest)] = cli._grid_rows(
+            spec, (theta_deg, theta_deg, 1), cli._family_column)
+        theta = np.radians([theta_deg])
         for p, analytic in zip(map(float, axis1.ravel()), map(float, column.ravel())):
             states = _family_states(np.array(p), math.sqrt(p * (1.0 - p)) * gamma)
             pair = np.array((states, _luders(states, observable_x()._channel)))
@@ -377,16 +377,17 @@ class TestEngineBlocks:
 
     @settings(max_examples=300, deadline=None)
     @given(p_range=_axis_range("p"), gamma=st.floats(-1.0, 1.0),
-           theta_deg=st.lists(st.floats(-360.0, 360.0), min_size=1, max_size=3),
+           theta=st.tuples(st.floats(-360.0, 360.0), st.floats(-360.0, 360.0),
+                           st.integers(1, 3)),
            gate=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0), st.floats(0.0, 1.0)))
-    @example(p_range=[0.0, 1.0], gamma=1.0, theta_deg=[0.0, 90.0, 180.0],
+    @example(p_range=[0.0, 1.0], gamma=1.0, theta=(0.0, 180.0, 3),
              gate=(1.0, 0.3333333333333333, 1.0))
-    @example(p_range=[0.0, 1.0], gamma=-0.0, theta_deg=[0.0, 90.0, 180.0],
+    @example(p_range=[0.0, 1.0], gamma=-0.0, theta=(0.0, 180.0, 3),
              gate=(0.985, 0.324, 1.0))
-    @example(p_range=[0.0, 1.0], gamma=0.0, theta_deg=[0.0, 90.0, 180.0],
+    @example(p_range=[0.0, 1.0], gamma=0.0, theta=(0.0, 180.0, 3),
              gate=(1.0, 0.3333333333333333, 1.0))
-    @example(p_range=[0.25, 0.75], gamma=-1.0, theta_deg=[45.0], gate=(0.9, 0.8, 0.0))
-    def test_gate_model_column_matches_the_variances(self, p_range, gamma, theta_deg, gate):
+    @example(p_range=[0.25, 0.75], gamma=-1.0, theta=(45.0, 45.0, 1), gate=(0.9, 0.8, 0.0))
+    def test_gate_model_column_matches_the_variances(self, p_range, gamma, theta, gate):
         # simulate's analytic column, taken factored from the two runs'
         # means, against V_+ - V_H from qubit._variances on the same
         # gated probabilities, captured as the engine checks them.
@@ -394,8 +395,10 @@ class TestEngineBlocks:
         seen = []
 
         def kept(probabilities):
-            seen.append(checked(probabilities))
-            return seen[-1]
+            checked_probabilities = checked(probabilities)
+            # The engine snaps its own checked copy once the column is taken.
+            seen.append(checked_probabilities.copy())
+            return checked_probabilities
 
         spec = SweepSpec(axis1="p", a1_min=p_range[0], a1_max=p_range[1], a1_steps=2,
                          gamma=gamma, gate=GateParams(*gate))
@@ -403,7 +406,7 @@ class TestEngineBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_checked_probabilities", kept)
             [(_axis1, _theta, column, *_rest)] = cli._grid_rows(
-                spec, np.array(theta_deg), cli._gated_means_column)
+                spec, theta, cli._gated_means_column)
         [probabilities] = seen
         column = np.array(list(map(float, column.ravel()))).reshape(column.shape)
         variances = _variances(probabilities, np.array([-1.0, 1.0]))
@@ -566,6 +569,59 @@ class TestHeadMemo:
         cli._HEADS.clear()
         assert run_to_bytes(second + grid) == warm
         assert warm[0] == 0
+
+    @pytest.mark.parametrize("flag, first, second, same_grid", [
+        # -0.0 == 0.0 as floats, not as bytes; np.linspace starts either
+        # grid at 0.0, so the key is finer than the grid here.
+        ("--a1-min", "0.0", "-0.0", True),
+        ("--theta-min", "0.0", "-0.0", True),
+        ("--a1-max", "0.75", repr(0.75 + 2.0**-40), False),
+    ])
+    def test_key_tells_apart_numbers_that_compare_equal_or_close(
+            self, flag, first, second, same_grid, tmp_path):
+        base = ["simulate", "--a1-steps", 3, "--theta-steps", 4, "--out", tmp_path / "x.csv"]
+        assert run_to_bytes(base + [flag, first])[0] == 0
+        kept = run_to_bytes(base + [flag, first])  # the head now holds texts
+        with head_builds() as built:
+            warm = run_to_bytes(base + [flag, second])
+        assert len(built) == 1
+        cli._HEADS.clear()
+        assert run_to_bytes(base + [flag, second]) == warm
+        assert warm[0] == 0
+        assert (warm[2] == kept[2]) == same_grid
+
+    def test_head_keeps_the_snapped_means_and_the_tail_checks_no_flux(self, tmp_path):
+        # On this grid one checked probability is round-off (5.6e-17).
+        argv = ["simulate", "--a1-steps", 5, "--theta-steps", 4, "--out", tmp_path / "x.csv"]
+        checked = cli._checked_probabilities
+        seen = []
+
+        def kept(probabilities):
+            probabilities = checked(probabilities)
+            seen.append(probabilities.copy())  # before the head snaps them
+            return probabilities
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_checked_probabilities", kept)
+            assert run_main(argv) == 0
+        [probabilities] = seen
+        [(_columns, means)] = memo_head()
+        assert ((probabilities > 0.0) & (probabilities <= PROBABILITY_FLOOR)).any()
+        expected = np.where(probabilities <= PROBABILITY_FLOOR, 0.0, probabilities)
+        assert means.shape == expected.shape
+        assert means.tobytes() == expected.tobytes()
+        assert means.flags.writeable is False
+        spec = cli._spec_from_args(cli._parse_args([str(arg) for arg in argv]))
+        rows, column, *_rest = cli._COMMANDS["simulate"]
+        calls = []
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (cli, photonics):
+                patch.setattr(module, "_check_flux", lambda *args: calls.append(args))
+            for _warm in range(2):  # the first reuse turns the columns into texts
+                with head_builds() as built:
+                    assert len(list(rows(spec, column))) == 1
+                assert not built
+        assert calls == []
 
     def test_a_head_that_raises_is_not_kept(self, tmp_path):
         argv = ["simulate", "--th", 0, "--tv", 0, "--a1-steps", 3, "--theta-steps", 3,

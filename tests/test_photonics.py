@@ -32,7 +32,8 @@ from measurement_coherence import (
     sample_counts,
 )
 from measurement_coherence.photonics import (
-    _METER_V, _check_success, _gate_multiplier, _gated_signals, _poisson_counts)
+    _METER_V, _check_success, _estimate_delta_v, _gate_multiplier, _gated_signals,
+    _poisson_counts)
 from measurement_coherence.qubit import _family_states
 from conftest import assert_passes_public_checks, random_density
 
@@ -506,7 +507,88 @@ class TestSampleCounts:
             CountRecord((-1, 1), counts, 1.0)
 
 
+def reference_estimate_delta_v(counts):
+    """_estimate_delta_v with a new array for each step, as the formulas
+    read."""
+    totals = counts[..., 0] + counts[..., 1]
+    if not totals.all():
+        raise EstimationError("count record is empty")
+    counts, totals = counts.astype(float), totals.astype(float)
+    n_minus, n_plus = counts[..., 0], counts[..., 1]
+    mean = (n_plus - n_minus) / totals
+    mean_sq = mean * mean
+    var_est = 1.0 - mean_sq
+    var_of_est = 16.0 * mean_sq * n_plus * n_minus / totals ** 3
+    return (
+        var_est[..., 1] - var_est[..., 0],
+        np.sqrt(var_of_est[..., 0] + var_of_est[..., 1]),
+    )
+
+
+# Counts up to 4.6e18 per outcome, whose sum stays in int64, and runs with
+# n+ = n-, one outcome at zero, or no count at all.
+_COUNT_SCALES = st.sampled_from((30, 10**5, int(MAX_FLUX), 4_600_000_000_000_000_000))
+
+
+@st.composite
+def count_runs(draw, scale=None):
+    """One run's (n-, n+) counts."""
+    high = draw(_COUNT_SCALES) if scale is None else scale
+    count = st.integers(0, high)
+    return draw(st.one_of(
+        st.tuples(count, count),
+        count.map(lambda n: (n, n)),
+        count.map(lambda n: (0, n)),
+        count.map(lambda n: (n, 0)),
+        st.just((0, 0)),
+    ))
+
+
+@st.composite
+def count_stacks(draw):
+    """(..., 2, 2) int64 counts of (unperturbed, perturbed) runs."""
+    shape = draw(st.lists(st.integers(1, 3), max_size=2))
+    scale = draw(_COUNT_SCALES)
+    runs = draw(st.lists(count_runs(scale), min_size=2 * math.prod(shape),
+                         max_size=2 * math.prod(shape)))
+    return np.array(runs, dtype=np.int64).reshape(*shape, 2, 2)
+
+
+def assert_estimates_match_the_reference(counts, estimate):
+    """estimate(counts) gives the reference's arrays to the byte, or its error."""
+    try:
+        expected = reference_estimate_delta_v(counts)
+    except EstimationError as exc:
+        with pytest.raises(EstimationError, match=f"^{re.escape(str(exc))}$"):
+            estimate(counts)
+        return None
+    got = estimate(counts)
+    for value, reference in zip(got, expected):
+        assert np.shape(value) == np.shape(reference)
+        assert np.asarray(value).tobytes() == np.asarray(reference).tobytes()
+    return got
+
+
 class TestEstimateDeltaV:
+    @settings(max_examples=400, deadline=None)
+    @given(counts=count_stacks())
+    @example(counts=np.array([[[7, 7], [0, 9]]] * 2, dtype=np.int64))
+    @example(counts=np.full((2, 2), 4_600_000_000_000_000_000, dtype=np.int64))
+    @example(counts=np.array([[3, 5], [0, 0]], dtype=np.int64))
+    def test_matches_the_reference_bit_for_bit(self, counts):
+        # In place or not, every step rounds the same.
+        assert_estimates_match_the_reference(counts, _estimate_delta_v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=st.tuples(count_runs(), count_runs()), flipped=st.booleans())
+    def test_records_give_the_reference(self, runs, flipped):
+        def estimate(counts):
+            values = (1.0, -1.0) if flipped else (-1.0, 1.0)
+            records = [CountRecord(values, run[::-1] if flipped else run, 1.0) for run in counts]
+            return tuple(map(np.float64, estimate_delta_v(*records)))
+
+        assert_estimates_match_the_reference(np.array(runs, dtype=np.int64), estimate)
+
     def test_plugin_consistency_with_exact_counts(self):
         # counts exactly proportional to the analytic probabilities
         p, gamma, theta = 0.3, 0.9, 1.0
