@@ -72,10 +72,13 @@ builds each block's head in turn, with the same code, and keeps none.
 
 The writer writes each chunk of rows as one join of the row template's
 pieces and the cells' texts, and formats a column broadcast over a block
-once per block.  Sampling uses one generator per sweep, seeded by --seed
-and drawn in grid order, so output is byte-identical for identical
-arguments, whether or not an earlier sweep in the same process filled
-the memo, and does not depend on the block size.
+once per block.  The texts of a float column are its entries' reprs,
+written by one orjson.dumps per column chunk (_reprs).  orjson is
+imported by the first sweep that writes, so importing cli, or the object
+API, does not load it.  Sampling uses one generator per sweep, seeded
+by --seed and drawn in grid order, so output is byte-identical for
+identical arguments, whether or not an earlier sweep in the same process
+filled the memo, and does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -184,11 +187,31 @@ def _gated_means_column(_p, _off, _angles, probabilities) -> np.ndarray:
     return (mean[..., 0] - mean[..., 1]) * (mean[..., 0] + mean[..., 1]) + 0.0
 
 
+def _reprs(column: np.ndarray) -> list[str]:
+    """The repr texts of a nonempty float64 column's entries, in C order.
+
+    One orjson.dumps formats the whole column.  It writes repr's shortest
+    round-trip digits, in repr's grammar except for nonzero |x| < 1e-4
+    (0.00001234 for 1.234e-05), |x| >= 1e16 (1e16 for 1e+16) and the
+    non-finite values (null): those cells, picked by value, are repr's
+    own.  orjson is imported here, so a caller that never writes does not
+    load it.
+    """
+    import orjson
+
+    flat = column.ravel()
+    texts = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    magnitude = np.abs(flat)
+    odd = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1e16)) & (magnitude != 0.0))
+    for i, value in zip(odd.tolist(), flat[odd].tolist()):
+        texts[i] = repr(value)
+    return texts
+
+
 def _texts(column: np.ndarray) -> np.ndarray:
     """The repr texts of a float column, as a read-only object array of
     its shape."""
-    texts = np.array(list(map(repr, column.ravel().tolist())), dtype=object)
-    return _read_only(texts.reshape(column.shape))
+    return _read_only(np.array(_reprs(column), dtype=object).reshape(column.shape))
 
 
 def _grid_heads(spec: SweepSpec, theta: tuple[float, float, int],
@@ -318,8 +341,7 @@ _BLOCK_ROWS = 256
 def _cell_texts(entries: np.ndarray) -> list[str]:
     """The texts of a flat column's cells: a text column's own, or the
     reprs of a float column's entries."""
-    cells = entries.tolist()
-    return cells if entries.dtype == object else list(map(repr, cells))
+    return entries.tolist() if entries.dtype == object else _reprs(entries)
 
 
 def _stream_rows(fmt: str, blocks: Iterable[tuple[np.ndarray, ...]], handle) -> None:

@@ -215,6 +215,48 @@ class TestWriter:
             records = [dict(zip(CSV_FIELDS, row)) for row in rows.tolist()]
             assert lines == (json.dumps(records, indent=2) + "\n").splitlines(keepends=True)
 
+    @staticmethod
+    def check_reprs(values):
+        expected = list(map(repr, values))
+        column = np.array(values, dtype=float)
+        assert cli._reprs(column) == expected
+        assert cli._reprs(column.reshape(-1, 1)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_formatter_writes_repr(self, values):
+        self.check_reprs(values)
+
+    @pytest.mark.parametrize("center", [0.0, 1e-4, 1e16, 5e-324, sys.float_info.max])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_formatter_writes_repr_next_to_its_edges(self, center, sign):
+        # The 2000 doubles on each side of where orjson's grammar or repr's
+        # changes, or where the doubles end.
+        below, above = [sign * center], [sign * center]
+        for _ in range(2000):
+            below.append(math.nextafter(below[-1], -math.inf))
+            above.append(math.nextafter(above[-1], math.inf))
+        self.check_reprs(below[:0:-1] + above)
+
+    def test_formatter_writes_repr_of_random_bit_patterns(self):
+        bits = np.random.default_rng(20261022).integers(0, 2**64, 150_000, dtype=np.uint64)
+        self.check_reprs(bits.view(np.float64).tolist())
+
+    def test_formatter_is_imported_by_the_first_sweep_that_writes(self, tmp_path):
+        # A caller of the object API, or one that imports cli and never
+        # writes, does not load orjson.
+        script = (
+            "import sys\n"
+            "import measurement_coherence, measurement_coherence.cli as cli\n"
+            "assert 'orjson' not in sys.modules\n"
+            f"assert cli.main(['simulate', '--a1-steps', '2', '--theta-steps', '2',"
+            f" '--out', {str(tmp_path / 'x.csv')!r}]) == 0\n"
+            "assert 'orjson' in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestEngineBlocks:
     @pytest.mark.parametrize(
